@@ -1,64 +1,49 @@
 """Desk-scale forgetting comparison: full method vs fine-tuning vs per-task models.
 
-Five 3-class tasks drawn from six synthetic primitives, trained in sequence
-under each mode, repeated over seeds.  Prints per-mode mean final APA / CFR /
-PPA and the per-task accuracy matrices for diagnosis.
+Runs the experiment of desk_config.json next to this script (five 3-class
+tasks drawn from six synthetic primitives) under each mode, repeated over
+seeds.  Prints per-mode mean final APA / CFR / PPA and the per-task accuracy
+matrices for diagnosis.  Every other setting comes from the JSON file.
 
-Usage: python scripts/run_forgetting_benchmark.py [--seeds 0 1 2] [--epochs 60]
+Usage: python scripts/run_forgetting_benchmark.py [--seeds 0 1 2] [--epochs N]
+                                                  [--modes l3doc finetune stl]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from l3doc.backbone import BackboneConfig
-from l3doc.datasets import gen_synthetic, make_split_plan
-from l3doc.factorization import FactorSpec
-from l3doc.mam import MamConfig
+from l3doc.cli import build_tasks, experiment_from_resolved, resolve_config
 from l3doc.metrics import apa, cfr, ppa
-from l3doc.trainer import ExperimentConfig, run_sequence
+from l3doc.trainer import MODES, run_sequence
 
-CLASS_POOL = ("sphere", "cube", "cylinder", "cone", "torus", "plane")
-WIDTHS = (3, 32, 32, 64)
-NUM_TASKS = 5
-CLASSES_PER_TASK = 3
-PER_CLASS = 50          # 40 train / 10 test per class -> 120 / 30 per task
-POINTS = 128
-NOISE = 0.02
+DESK_CONFIG = Path(__file__).resolve().parent / "desk_config.json"
 
 
-def build_tasks(seed: int):
-    plan = make_split_plan(CLASS_POOL, NUM_TASKS, CLASSES_PER_TASK, seed=[seed, 101])
-    return [gen_synthetic(classes, PER_CLASS, POINTS, NOISE, seed=[seed, 201, i], task_id=i + 1)
-            for i, classes in enumerate(plan.tasks)]
+def desk_experiment(mode: str, seed: int, epochs: int | None = None):
+    """The desk config and its tasks for one mode and seed; epochs=None
+    keeps the file's epoch count."""
+    raw = json.loads(DESK_CONFIG.read_text(encoding="utf-8"))
+    resolved = resolve_config(raw, {"seed": seed, "mode": mode, "epochs": epochs})
+    return experiment_from_resolved(resolved), build_tasks(resolved)
 
 
-def experiment_config(mode: str, seed: int, epochs: int, lambda_l: float,
-                      batch_size: int, lr: float) -> ExperimentConfig:
-    return ExperimentConfig(
-        mode=mode,
-        spec=FactorSpec(widths=WIDTHS, n_hat=8, l_hat=8, s=2),
-        backbone=BackboneConfig(widths=WIDTHS, head_widths=(32,)),
-        mam=MamConfig(lambda_l=lambda_l),
-        epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)
-
-
-def run_mode(mode: str, seed: int, epochs: int, lambda_l: float,
-             batch_size: int, lr: float) -> dict:
-    cfg = experiment_config(mode, seed, epochs, lambda_l, batch_size, lr)
-    tasks = build_tasks(seed)
+def run_mode(mode: str, seed: int, epochs: int | None) -> dict:
+    cfg, tasks = desk_experiment(mode, seed, epochs)
+    num_tasks = len(tasks)
     t0 = time.perf_counter()
     _, log = run_sequence(cfg, tasks)
     elapsed = time.perf_counter() - t0
-    final = log.boundary_accuracies(NUM_TASKS)
+    final = log.boundary_accuracies(num_tasks)
     peaks = log.peaks()
     seen = sorted(final)
-    matrix = {after: log.boundary_accuracies(after) for after in range(1, NUM_TASKS + 1)}
+    matrix = {after: log.boundary_accuracies(after) for after in range(1, num_tasks + 1)}
     return {
         "apa": apa([final[t] for t in seen]),
         "cfr": cfr([final[t] for t in seen], [peaks[t] for t in seen]),
@@ -69,29 +54,28 @@ def run_mode(mode: str, seed: int, epochs: int, lambda_l: float,
 
 
 def print_matrix(matrix: dict) -> None:
-    print("      " + "".join(f"T{t:<7}" for t in range(1, NUM_TASKS + 1)))
-    for after in range(1, NUM_TASKS + 1):
+    num_tasks = len(matrix)
+    print("      " + "".join(f"T{t:<7}" for t in range(1, num_tasks + 1)))
+    for after in range(1, num_tasks + 1):
         row = matrix[after]
         cells = "".join(f"{row.get(t, float('nan')):<8.3f}" if t in row else " " * 8
-                        for t in range(1, NUM_TASKS + 1))
+                        for t in range(1, num_tasks + 1))
         print(f"after {after}: {cells}")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--epochs", type=int, default=60)
-    parser.add_argument("--lambda-l", dest="lambda_l", type=float, default=10.0)
-    parser.add_argument("--batch-size", dest="batch_size", type=int, default=24)
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--modes", nargs="+", default=["l3doc", "finetune", "stl"])
+    parser.add_argument("--epochs", type=int, default=None,
+                        help="override the epoch count of desk_config.json")
+    parser.add_argument("--modes", nargs="+", choices=MODES, default=["l3doc", "finetune", "stl"])
     args = parser.parse_args()
 
     summary: dict[str, dict[str, list[float]]] = {m: {"apa": [], "cfr": [], "ppa": []}
                                                   for m in args.modes}
     for mode in args.modes:
         for seed in args.seeds:
-            res = run_mode(mode, seed, args.epochs, args.lambda_l, args.batch_size, args.lr)
+            res = run_mode(mode, seed, args.epochs)
             for key in ("apa", "cfr", "ppa"):
                 summary[mode][key].append(res[key])
             print(f"\n[{mode} seed={seed}] APA={res['apa']:.3f} CFR={res['cfr']:.3f} "

@@ -7,10 +7,10 @@ Subcommands:
   eval          recompute summary.csv from metrics.jsonl and verify it
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure,
-5 eval mismatch.  The env var L3DOC_THREADS caps archive-evaluation
-parallelism (default 1, which keeps runs bit-reproducible).
+5 eval mismatch.
 
-Config schema (JSON; every key optional unless noted, defaults shown):
+Config schema (JSON; every key optional unless noted, defaults shown; a
+supplied value must have its default's type):
 
     {
       "schema_version": 1,              // required, must be 1
@@ -26,10 +26,10 @@ Config schema (JSON; every key optional unless noted, defaults shown):
       "out_dir": "runs/exp"             // or pass --out
     }
 
-Dataset sources:
-    {"type": "synthetic", "class_pool": [...8 primitive names...],
+Dataset sources (num_tasks, classes_per_task, root and tasks have no default):
+    {"type": "synthetic", "class_pool": [...all 8 primitive names...],
      "num_tasks": 5, "classes_per_task": 3,   // or explicit "tasks": [[...], ...]
-     "per_class": 50, "points": 128, "noise_sigma": 0.01}
+     "per_class": 20, "points": 128, "noise_sigma": 0.01}
     {"type": "directory", "root": "path", "tasks": [["chair","table"], ...],
      "points": 1024, "normalize": true}
 """
@@ -38,19 +38,19 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .backbone import BackboneConfig
-from .datasets import (PRIMITIVES, gen_synthetic, load_task_from_dir,
+from .datasets import (DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, load_task_from_dir,
                        make_split_plan, write_dataset_dir)
 from .errors import ConfigError, DataError, NumericError
-from .factorization import (FactorSpec, POINTNET_WIDTHS, count_dfcnn, count_l3doc,
-                            count_stl, l3doc_layer_counts)
+from .factorization import FactorSpec, count_dfcnn, count_l3doc, count_stl, l3doc_layer_counts
 from .mam import MamConfig
 from .metrics import export, parse_jsonl, summary_csv_bytes, summary_rows
-from .trainer import ExperimentConfig, run_sequence
+from .trainer import MODES, ExperimentConfig, run_sequence
 
 SCHEMA_VERSION = 1
 
@@ -59,25 +59,15 @@ SCHEMA_VERSION = 1
 REFERENCE_TOTALS = {(16, 32, 2): 950664, (32, 32, 2): 475332}
 REFERENCE_CLAIM = "1.68x~3.36x fewer parameters than independent per-task models"
 
-_DEFAULTS = {
-    "mode": "l3doc",
-    "seed": 0,
-    "epochs": 10,
-    "batch_size": 16,
-    "lr": 1e-3,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-    "spec": {"n_hat": 16, "l_hat": 32, "s": 2},
-    "backbone": {"widths": list(POINTNET_WIDTHS), "head_widths": [256], "loss_kind": "squared"},
-    "mam": {"lambda_l": 1.0, "detach_attention": True},
-    "out_dir": None,
-}
+# Every config key but the dataset, with its default: the experiment
+# dataclasses' own, less the factor widths (they are the backbone's).
+_DEFAULTS = {**dataclasses.asdict(ExperimentConfig()), "out_dir": None}
+del _DEFAULTS["spec"]["widths"]
 
-_DATASET_KEYS = {
-    "synthetic": {"type", "class_pool", "num_tasks", "classes_per_task", "tasks",
-                  "per_class", "points", "noise_sigma"},
-    "directory": {"type", "root", "tasks", "points", "normalize"},
+# Per dataset type: the keys that have no default, and the defaults.
+_DATASET_SOURCES = {
+    "synthetic": ({"num_tasks", "classes_per_task", "tasks"}, SYNTHETIC_DEFAULTS),
+    "directory": ({"root", "tasks"}, DIRECTORY_DEFAULTS),
 }
 
 
@@ -87,41 +77,80 @@ def _check_keys(d: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _matches(value, default) -> bool:
+    """Whether a scalar has its default's type.  A bool is not a number, an
+    int is a float, and a key whose default is None takes a string."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if default is None:
+        return value is None or isinstance(value, str)
+    return type(value) is type(default)
+
+
+def _type_name(default) -> str:
+    return "str" if default is None else type(default).__name__
+
+
+def _check_value(value, default, where: str) -> None:
+    """Reject a supplied value whose type differs from its default's: a
+    section takes an object, a list default a list of its element type."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        _check_keys(value, default, where)
+        for key, v in value.items():
+            _check_value(v, default[key], f"{where}.{key}")
+    elif isinstance(default, (tuple, list)):
+        if not (isinstance(value, list) and all(_matches(v, default[0]) for v in value)):
+            raise ConfigError(f"{where} must be a list of {_type_name(default[0])}, got {value!r}")
+    elif not _matches(value, default):
+        raise ConfigError(f"{where} must be of type {_type_name(default)}, got {value!r}")
+
+
+def _check_dataset(dataset) -> None:
+    if not isinstance(dataset, dict):
+        raise ConfigError(f"config.dataset must be an object, got {dataset!r}")
+    kind = dataset.get("type")
+    if kind not in _DATASET_SOURCES:
+        raise ConfigError(f"dataset.type must be one of {sorted(_DATASET_SOURCES)}, got {kind!r}")
+    no_default, defaults = _DATASET_SOURCES[kind]
+    _check_keys(dataset, {"type", *no_default, *defaults}, "config.dataset")
+    for key in defaults.keys() & dataset.keys():
+        _check_value(dataset[key], defaults[key], f"config.dataset.{key}")
+
+
 def resolve_config(raw: dict, overrides: dict) -> dict:
-    """Fill defaults, apply CLI overrides, reject unknown keys."""
+    """Fill defaults, apply CLI overrides, reject unknown keys and values
+    of the wrong type."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     _check_keys(raw, set(_DEFAULTS) | {"schema_version", "dataset"}, "config")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}")
     if "dataset" not in raw:
         raise ConfigError("config needs a 'dataset' section")
+    _check_dataset(raw["dataset"])
     resolved = copy.deepcopy(_DEFAULTS)
-    resolved["schema_version"] = SCHEMA_VERSION
-    for key, value in raw.items():
-        if key in ("spec", "backbone", "mam"):
-            _check_keys(value, resolved[key], f"config.{key}")
-            resolved[key].update(value)
+    resolved.update(schema_version=SCHEMA_VERSION, dataset=copy.deepcopy(raw["dataset"]))
+    supplied = {k: v for k, v in raw.items() if k not in ("schema_version", "dataset")}
+    supplied.update((k, v) for k, v in overrides.items() if v is not None)
+    for key, value in supplied.items():
+        _check_value(value, _DEFAULTS[key], f"config.{key}")
+        if isinstance(value, dict):
+            resolved[key].update(copy.deepcopy(value))
         else:
             resolved[key] = copy.deepcopy(value)
-    dataset = resolved["dataset"]
-    kind = dataset.get("type")
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"dataset.type must be one of {sorted(_DATASET_KEYS)}, got {kind!r}")
-    _check_keys(dataset, _DATASET_KEYS[kind], "config.dataset")
-    for key, value in overrides.items():
-        if value is not None:
-            resolved[key] = value
     return resolved
 
 
 def experiment_from_resolved(resolved: dict) -> ExperimentConfig:
-    widths = tuple(resolved["backbone"]["widths"])
     return ExperimentConfig(
-        mode=resolved["mode"],
-        spec=FactorSpec(widths=widths, **resolved["spec"]),
-        backbone=BackboneConfig(widths=widths,
-                                head_widths=tuple(resolved["backbone"]["head_widths"]),
-                                loss_kind=resolved["backbone"]["loss_kind"]),
+        spec=FactorSpec(widths=resolved["backbone"]["widths"], **resolved["spec"]),
+        backbone=BackboneConfig(**resolved["backbone"]),
         mam=MamConfig(**resolved["mam"]),
+        mode=resolved["mode"],
         epochs=resolved["epochs"],
         batch_size=resolved["batch_size"],
         lr=resolved["lr"],
@@ -133,36 +162,27 @@ def experiment_from_resolved(resolved: dict) -> ExperimentConfig:
 
 
 def build_tasks(resolved: dict) -> list:
-    d = resolved["dataset"]
     seed = resolved["seed"]
-    if d["type"] == "synthetic":
-        pool = list(d.get("class_pool", PRIMITIVES))
+    if resolved["dataset"]["type"] == "synthetic":
+        d = {**SYNTHETIC_DEFAULTS, **resolved["dataset"]}
         if "tasks" in d:
             plans = [tuple(t) for t in d["tasks"]]
-            for t in plans:
-                for name in t:
-                    if name not in PRIMITIVES:
-                        raise ConfigError(f"unknown synthetic class {name!r}")
         else:
             try:
                 num_tasks = int(d["num_tasks"])
                 per_task = int(d["classes_per_task"])
             except KeyError as e:
                 raise ConfigError(f"synthetic dataset needs {e.args[0]} (or an explicit 'tasks' list)") from None
-            plans = make_split_plan(pool, num_tasks, per_task, seed=[seed, 101]).tasks
-        per_class = int(d.get("per_class", 20))
-        points = int(d.get("points", 128))
-        noise = float(d.get("noise_sigma", 0.01))
-        return [gen_synthetic(classes, per_class, points, noise,
+            plans = make_split_plan(d["class_pool"], num_tasks, per_task, seed=[seed, 101]).tasks
+        return [gen_synthetic(classes, d["per_class"], d["points"], d["noise_sigma"],
                               seed=[seed, 201, i], task_id=i + 1)
                 for i, classes in enumerate(plans)]
+    d = {**DIRECTORY_DEFAULTS, **resolved["dataset"]}
     root = Path(d.get("root", ""))
     if "tasks" not in d:
         raise ConfigError("directory dataset needs an explicit 'tasks' list of class groups")
-    points = int(d.get("points", 1024))
-    normalize = bool(d.get("normalize", True))
     return [load_task_from_dir(root, tuple(classes), task_id=i + 1,
-                               n_pts=points, seed=[seed, 301, i], normalize=normalize)
+                               n_pts=d["points"], seed=[seed, 301, i], normalize=d["normalize"])
             for i, classes in enumerate(d["tasks"])]
 
 
@@ -248,15 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="train a task sequence from a JSON config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--mode", choices=("l3doc", "stl", "finetune"), default=None)
+    p_run.add_argument("--mode", choices=MODES, default=None)
     p_run.add_argument("--out", default=None, help="output directory (overrides out_dir)")
     p_run.set_defaults(func=cmd_run)
 
     p_count = sub.add_parser("count-params", help="parameter accounting")
-    p_count.add_argument("--widths", default=",".join(str(w) for w in POINTNET_WIDTHS))
-    p_count.add_argument("--nhat", type=int, default=16)
-    p_count.add_argument("--lhat", type=int, default=32)
-    p_count.add_argument("--s", type=int, default=2)
+    p_count.add_argument("--widths", default=",".join(str(w) for w in FactorSpec.widths))
+    p_count.add_argument("--nhat", type=int, default=FactorSpec.n_hat)
+    p_count.add_argument("--lhat", type=int, default=FactorSpec.l_hat)
+    p_count.add_argument("--s", type=int, default=FactorSpec.s)
     p_count.add_argument("--tasks", type=int, default=1)
     p_count.add_argument("--family", choices=("stl", "dfcnn", "l3doc"), default="l3doc")
     p_count.add_argument("--u", type=int, default=1)
@@ -269,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-synth", help="generate a synthetic PTS dataset")
     p_gen.add_argument("--classes", required=True, help="comma-separated primitive names")
-    p_gen.add_argument("--per-class", dest="per_class", type=int, default=20)
-    p_gen.add_argument("--points", type=int, default=128)
-    p_gen.add_argument("--noise", type=float, default=0.01)
+    p_gen.add_argument("--per-class", dest="per_class", type=int,
+                       default=SYNTHETIC_DEFAULTS["per_class"])
+    p_gen.add_argument("--points", type=int, default=SYNTHETIC_DEFAULTS["points"])
+    p_gen.add_argument("--noise", type=float, default=SYNTHETIC_DEFAULTS["noise_sigma"])
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen_synth)

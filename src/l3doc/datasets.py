@@ -12,7 +12,7 @@ Dataset directory layout: <root>/<class_name>/{train,test}/*.{off,pts}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -21,6 +21,12 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 PRIMITIVES = ("sphere", "cube", "cylinder", "cone", "torus", "plane", "helix", "cross")
+
+# Defaults of the optional keys of a run config's two dataset sources; the
+# CLI's dataset builder and `l3doc gen-synth` both read them.
+SYNTHETIC_DEFAULTS = {"class_pool": PRIMITIVES, "per_class": 20, "points": 128,
+                      "noise_sigma": 0.01}
+DIRECTORY_DEFAULTS = {"points": 1024, "normalize": True}
 
 
 @dataclass

@@ -14,9 +14,8 @@ so the shared base holds most of the parameters while K and C stay small.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -114,9 +113,6 @@ class KnowledgeBase:
 
     def take_snapshot(self) -> None:
         self._snapshot = [np.array(t.data, copy=True) for t in self.layers]
-
-    def layer_values(self) -> list[np.ndarray]:
-        return [np.array(t.data, copy=True) for t in self.layers]
 
 
 def init_knowledge_base(spec: FactorSpec, seed) -> KnowledgeBase:

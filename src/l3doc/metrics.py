@@ -154,7 +154,7 @@ def parse_jsonl(text: str) -> RunLog:
     return log
 
 
-def summary_rows(log: RunLog, ppa_aggregate: str = "mean") -> list[dict]:
+def summary_rows(log: RunLog) -> list[dict]:
     rows = []
     peaks = log.peaks()
     for t in log.task_ids():
@@ -163,7 +163,7 @@ def summary_rows(log: RunLog, ppa_aggregate: str = "mean") -> list[dict]:
         seen = sorted(at_boundary)
         rows.append({
             "task": t,
-            "ppa": ppa(trace, aggregate=ppa_aggregate),
+            "ppa": ppa(trace),
             "apa": apa([at_boundary[i] for i in seen]),
             "cfr": cfr([at_boundary[i] for i in seen], [peaks[i] for i in seen]),
             "sc": sc(trace),

@@ -19,9 +19,7 @@ carry their own frozen base, so old tasks cannot degrade by construction).
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,7 +38,6 @@ from .mam import MamConfig
 from .metrics import BoundaryRecord, EpochRecord, RunLog
 
 MODES = ("l3doc", "stl", "finetune")
-THREADS_ENV = "L3DOC_THREADS"
 
 
 @dataclass(frozen=True)
@@ -92,11 +89,6 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Opti
         m_hat = m / (1 - beta1 ** t)
         v_hat = v / (1 - beta2 ** t)
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], lr: float) -> None:
-    for p, g in zip(params, grads):
-        p.data = p.data - lr * g
 
 
 @dataclass(frozen=True)
@@ -181,46 +173,35 @@ def _value(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def _eval_accuracy(pairs, layer_values, kernels_src, biases, head_w, head_b) -> float:
+def _constant_view(factors) -> TaskFactors:
+    """Constant copies of all five factor groups of live factors or of an
+    archive entry, so evaluation records no backward."""
+    groups = (factors.kernels, factors.contractions, factors.biases,
+              factors.head_weights, factors.head_biases)
+    return TaskFactors(factors.task_id, *([ad.constant(_value(t)) for t in g] for g in groups))
+
+
+def _eval_accuracy(pairs, layers, factors) -> float:
     batch, labels = _stack_split(pairs)
-    layers = [ad.constant(_value(v)) for v in layer_values]
-    factors_view = TaskFactors(0, [ad.constant(_value(k)) for k in kernels_src.kernels],
-                               [ad.constant(_value(c)) for c in kernels_src.contractions],
-                               [], [], [])
-    kernels = reconstruct_layer_kernels(layers, factors_view)
-    logits = forward(batch, kernels,
-                     [ad.constant(_value(b)) for b in biases],
-                     [ad.constant(_value(w)) for w in head_w],
-                     [ad.constant(_value(b)) for b in head_b])
+    view = _constant_view(factors)
+    kernels = reconstruct_layer_kernels([ad.constant(_value(v)) for v in layers], view)
+    logits = forward(batch, kernels, view.biases, view.head_weights, view.head_biases)
     return accuracy(logits, labels)
 
 
 def evaluate_task(dataset: TaskDataset, kb: KnowledgeBase, factors: TaskFactors) -> float:
-    return _eval_accuracy(dataset.test, kb.layers, factors, factors.biases,
-                          factors.head_weights, factors.head_biases)
+    return _eval_accuracy(dataset.test, kb.layers, factors)
 
 
-def evaluate_archive(kb: KnowledgeBase, archive: TaskArchive,
-                     threads: int | None = None) -> dict[int, float]:
+def evaluate_archive(kb: KnowledgeBase, archive: TaskArchive) -> dict[int, float]:
     """Accuracy of every archived task: its frozen factors and head applied
     to the live knowledge base (or its own frozen base, for independent
     per-task entries)."""
-    if threads is None:
-        threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    entries = archive.entries()
-
-    def one(entry: ArchivedTask) -> tuple[int, float]:
-        layer_values = entry.kb_layers if entry.kb_layers is not None else kb.layers
-        acc = _eval_accuracy(entry.dataset.test, layer_values, entry,
-                             entry.biases, entry.head_weights, entry.head_biases)
-        return entry.task_id, acc
-
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, entries))
-    else:
-        results = [one(e) for e in entries]
-    return dict(results)
+    accuracies = {}
+    for entry in archive.entries():
+        layers = entry.kb_layers if entry.kb_layers is not None else kb.layers
+        accuracies[entry.task_id] = _eval_accuracy(entry.dataset.test, layers, entry)
+    return accuracies
 
 
 def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,

@@ -1,11 +1,16 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from l3doc import cli
+from l3doc.datasets import DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS
 from l3doc.metrics import parse_jsonl
+from l3doc.trainer import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, **extra):
@@ -88,6 +93,64 @@ class TestRun:
             "tasks": [["sphere"]], "points": 8})
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "error: data" in capsys.readouterr().err
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("change", [
+        {"epochs": "ten"},
+        {"batch_size": 2.5},
+        {"spec": 3},
+        {"seed": True},
+        {"lr": "fast"},
+        {"backbone": {"widths": [3, "32", 32, 64]}},
+        {"mam": {"detach_attention": 1}},
+        {"dataset": ["sphere"]},
+        {"dataset": {"type": "synthetic", "num_tasks": 5, "classes_per_task": 3,
+                     "per_class": 2.5}},
+        {"dataset": {"type": "directory", "root": "data", "tasks": [["cube"]],
+                     "normalize": "yes"}},
+    ], ids=repr)
+    def test_wrong_type_in_desk_config_exits_2(self, tmp_path, capsys, change):
+        raw = json.loads((ROOT / "scripts" / "desk_config.json").read_text(encoding="utf-8"))
+        raw.update(change)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error: config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_int_accepted_where_default_is_float(self):
+        raw = {"schema_version": 1, "lr": 1, "mam": {"lambda_l": 10},
+               "dataset": {"type": "synthetic", "tasks": [["cube", "cone"]], "noise_sigma": 0}}
+        resolved = cli.resolve_config(raw, {})
+        assert resolved["lr"] == 1 and resolved["mam"]["lambda_l"] == 10
+
+
+class TestSingleDefinitions:
+    MINIMAL = {"schema_version": 1,
+               "dataset": {"type": "synthetic", "num_tasks": 2, "classes_per_task": 2}}
+
+    def test_minimal_config_resolves_to_dataclass_defaults(self):
+        resolved = cli.resolve_config(self.MINIMAL, {})
+        assert cli.experiment_from_resolved(resolved) == ExperimentConfig()
+
+    def test_readme_config_blocks_show_the_real_defaults(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+        config = next(b for b in blocks if "schema_version" in b)
+        resolved = cli.resolve_config(self.MINIMAL, {})
+        shown = set(config) - {"schema_version", "dataset", "out_dir"}
+        assert shown == set(resolved) - {"schema_version", "dataset", "out_dir"}
+        for key in shown:
+            assert config[key] == json.loads(json.dumps(resolved[key])), key
+        datasets = [config["dataset"], *(b for b in blocks if "type" in b)]
+        assert {d["type"] for d in datasets} == {"synthetic", "directory"}
+        for dataset in datasets:
+            cli.resolve_config({"schema_version": 1, "dataset": dataset}, {})
+            defaults = SYNTHETIC_DEFAULTS if dataset["type"] == "synthetic" else DIRECTORY_DEFAULTS
+            assert set(defaults) <= set(dataset), dataset["type"]
+            for key, default in defaults.items():
+                assert dataset[key] == json.loads(json.dumps(default)), key
 
 
 class TestCountParams:

@@ -62,11 +62,6 @@ class TestAdam:
         tr.adam_step([p], [rng.normal(size=(3, 4))], state, lr=0.0)
         assert np.array_equal(p.data, before)
 
-    def test_sgd_step(self):
-        p = ad.parameter(np.array([2.0]))
-        tr.sgd_step([p], [np.array([0.5])], lr=0.1)
-        np.testing.assert_allclose(p.data, [1.95], atol=1e-15)
-
 
 class TestTrainTask:
     def test_one_epoch_one_batch_is_one_step(self):
@@ -241,14 +236,6 @@ class TestEvaluateArchive:
         _, _ = tr.train_task(1, tasks[0], kb, tr.TaskArchive(), cfg)
         accs = tr.evaluate_archive(kb, archive)
         assert accs[1] == archive.entries()[0].peak_accuracy
-
-    def test_threaded_evaluation_matches_serial(self):
-        cfg = tiny_cfg(epochs=1)
-        archive, _ = tr.run_sequence(cfg, tiny_tasks(3))
-        kb = tr.init_knowledge_base(cfg.spec, seed=[cfg.seed, 0, 0])
-        serial = tr.evaluate_archive(kb, archive, threads=1)
-        threaded = tr.evaluate_archive(kb, archive, threads=4)
-        assert serial == threaded
 
 
 class TestGradientFlow:
