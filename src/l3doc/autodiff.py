@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-A minimal closure tape covering exactly the operations the lifelong
-point-cloud classifier composes its graphs from: pointwise-MLP algebra
-(matmul/add/scale/relu/mean), global max-pooling over the point axis,
+A minimal closure tape covering the operations the lifelong point-cloud
+classifier composes its graphs from: pointwise-MLP algebra
+(matmul/add/scale/relu), global max-pooling over the point axis,
 numerically stable softmax, squared-L2 penalties, and the two
 kernel-reconstruction primitives (channel contraction and stride-1
-transposed convolution over the knowledge grid).
+transposed convolution over the knowledge grid).  ``mul``, ``log`` and
+``mean`` are not called by the package; the benchmark's tracer
+(bench/tracing.py) still wraps them by name.
 
 Graphs are implicit: every op returns a new :class:`Tensor` holding its
 parents and a closure that routes the upstream gradient to them, so the
@@ -84,15 +86,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into ``grad`` over the whole graph.

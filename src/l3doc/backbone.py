@@ -28,13 +28,14 @@ from .factorization import POINTNET_WIDTHS
 class BackboneConfig:
     widths: tuple[int, ...] = POINTNET_WIDTHS
     head_widths: tuple[int, ...] = (256,)
+    # One value only; the key stays so that configs naming it stay valid.
     loss_kind: str = "squared"
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         object.__setattr__(self, "head_widths", tuple(int(w) for w in self.head_widths))
-        if self.loss_kind not in ("squared", "cross_entropy"):
-            raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
+        if self.loss_kind != "squared":
+            raise ConfigError(f"loss_kind must be 'squared', got {self.loss_kind!r}")
 
     def head_dims(self, n_classes: int) -> tuple[int, ...]:
         return (self.widths[-1], *self.head_widths, n_classes)
@@ -80,27 +81,15 @@ def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
     return out
 
 
-def logits_to_probs(logits: Tensor) -> Tensor:
-    return ad.softmax(logits, axis=-1)
-
-
-def classification_loss(logits: Tensor, targets: np.ndarray, kind: str = "squared") -> Tensor:
-    """Mean per-object loss between softmax probabilities and one-hot targets.
-
-    "squared" is the sum of squared differences; "cross_entropy" is the
-    ablation alternative.
-    """
+def classification_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean per-object sum of squared differences between softmax
+    probabilities and one-hot targets."""
     targets = np.asarray(targets, dtype=np.float64)
     if tuple(targets.shape) != tuple(logits.shape):
         raise ShapeError(f"classification_loss: targets {targets.shape} vs logits {logits.shape}")
     b = targets.shape[0]
-    probs = logits_to_probs(logits)
-    if kind == "squared":
-        return ad.scale(ad.sq_l2_diff(probs, ad.constant(targets)), 1.0 / b)
-    if kind == "cross_entropy":
-        picked = ad.mul(ad.log(probs), ad.constant(targets))
-        return ad.scale(ad.sum_all(picked), -1.0 / b)
-    raise ConfigError(f"unknown loss kind {kind!r}")
+    probs = ad.softmax(logits, axis=-1)
+    return ad.scale(ad.sq_l2_diff(probs, ad.constant(targets)), 1.0 / b)
 
 
 def accuracy(logits, labels: Sequence[int]) -> float:

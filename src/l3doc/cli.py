@@ -16,12 +16,12 @@ supplied value must have its default's type):
       "schema_version": 1,              // required, must be 1
       "mode": "l3doc",                  // l3doc | stl | finetune
       "seed": 0,
-      "epochs": 10, "batch_size": 16, "lr": 0.001,
-      "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+      "epochs": 10, "batch_size": 16, "lr": 0.001,   // lr finite, >= 0
       "spec": {"n_hat": 16, "l_hat": 32, "s": 2},
       "backbone": {"widths": [3,64,64,128,128,1024],
-                    "head_widths": [256], "loss_kind": "squared"},
-      "mam": {"lambda_l": 1.0, "detach_attention": true},
+                    "head_widths": [256], "loss_kind": "squared"},  // only "squared"
+      "mam": {"lambda_l": 1.0,          // finite, >= 0
+              "detach_attention": true}, // only true
       "dataset": {...},                 // required, see below
       "out_dir": "runs/exp"             // or pass --out
     }
@@ -68,6 +68,21 @@ del _DEFAULTS["spec"]["widths"]
 _DATASET_SOURCES = {
     "synthetic": ({"num_tasks", "classes_per_task", "tasks"}, SYNTHETIC_DEFAULTS),
     "directory": ({"root", "tasks"}, DIRECTORY_DEFAULTS),
+}
+
+
+def _class_groups(value) -> bool:
+    return (isinstance(value, list) and len(value) > 0
+            and all(isinstance(g, list) and len(g) > 0 and all(isinstance(c, str) for c in g)
+                    for g in value))
+
+
+# What a value of each dataset key with no default must be, and its test.
+_NO_DEFAULT_CHECKS = {
+    "num_tasks": ("an int >= 1", lambda v: _matches(v, 0) and v >= 1),
+    "classes_per_task": ("an int >= 1", lambda v: _matches(v, 0) and v >= 1),
+    "tasks": ("a non-empty list of non-empty lists of class names", _class_groups),
+    "root": ("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -119,6 +134,10 @@ def _check_dataset(dataset) -> None:
     _check_keys(dataset, {"type", *no_default, *defaults}, "config.dataset")
     for key in defaults.keys() & dataset.keys():
         _check_value(dataset[key], defaults[key], f"config.dataset.{key}")
+    for key in no_default & dataset.keys():
+        what, ok = _NO_DEFAULT_CHECKS[key]
+        if not ok(dataset[key]):
+            raise ConfigError(f"config.dataset.{key} must be {what}, got {dataset[key]!r}")
 
 
 def resolve_config(raw: dict, overrides: dict) -> dict:
@@ -154,9 +173,6 @@ def experiment_from_resolved(resolved: dict) -> ExperimentConfig:
         epochs=resolved["epochs"],
         batch_size=resolved["batch_size"],
         lr=resolved["lr"],
-        beta1=resolved["beta1"],
-        beta2=resolved["beta2"],
-        eps=resolved["eps"],
         seed=resolved["seed"],
     )
 
@@ -169,8 +185,7 @@ def build_tasks(resolved: dict) -> list:
             plans = [tuple(t) for t in d["tasks"]]
         else:
             try:
-                num_tasks = int(d["num_tasks"])
-                per_task = int(d["classes_per_task"])
+                num_tasks, per_task = d["num_tasks"], d["classes_per_task"]
             except KeyError as e:
                 raise ConfigError(f"synthetic dataset needs {e.args[0]} (or an explicit 'tasks' list)") from None
             plans = make_split_plan(d["class_pool"], num_tasks, per_task, seed=[seed, 101]).tasks
@@ -178,10 +193,9 @@ def build_tasks(resolved: dict) -> list:
                               seed=[seed, 201, i], task_id=i + 1)
                 for i, classes in enumerate(plans)]
     d = {**DIRECTORY_DEFAULTS, **resolved["dataset"]}
-    root = Path(d.get("root", ""))
-    if "tasks" not in d:
-        raise ConfigError("directory dataset needs an explicit 'tasks' list of class groups")
-    return [load_task_from_dir(root, tuple(classes), task_id=i + 1,
+    if "root" not in d or "tasks" not in d:
+        raise ConfigError("directory dataset needs a 'root' and an explicit 'tasks' list of class groups")
+    return [load_task_from_dir(Path(d["root"]), tuple(classes), task_id=i + 1,
                                n_pts=d["points"], seed=[seed, 301, i], normalize=d["normalize"])
             for i, classes in enumerate(d["tasks"])]
 

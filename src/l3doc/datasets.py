@@ -12,6 +12,7 @@ Dataset directory layout: <root>/<class_name>/{train,test}/*.{off,pts}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -111,6 +112,10 @@ def parse_off(text: str | bytes) -> Mesh:
             vertices[i] = [float(t) for t in toks[:3]]
         except (ValueError, IndexError):
             raise DataError(f"line {ln}: expected 3 vertex coordinates, got {toks!r}") from None
+    bad = ~np.isfinite(vertices).all(axis=1)
+    if bad.any():
+        ln, toks = body[int(bad.argmax())]
+        raise DataError(f"line {ln}: non-finite vertex coordinate in {toks!r}")
 
     faces = []
     for i in range(n_f):
@@ -333,6 +338,8 @@ def gen_synthetic(classes: Sequence[str], per_class: int, n_pts: int,
             raise ConfigError(f"unknown synthetic class {name!r}; choose from {PRIMITIVES}")
     if per_class < 2:
         raise ConfigError("per_class must be >= 2 to populate both splits")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     train, test = [], []
     n_test = _test_count(per_class)
@@ -371,6 +378,9 @@ def read_pts(path: Path) -> np.ndarray:
         raise DataError(f"{path}: bad float in point block: {e}") from None
     if pts.shape != (n, d):
         raise DataError(f"{path}: point block shape {pts.shape} != header ({n}, {d})")
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        raise DataError(f"{path}: line {2 + int(bad.argmax())}: non-finite coordinate")
     return pts
 
 
@@ -395,7 +405,10 @@ def _load_cloud(path: Path, n_pts: int, seed) -> PointCloud:
     if path.suffix == ".pts":
         pts = read_pts(path)
     elif path.suffix == ".off":
-        mesh = parse_off(path.read_text(encoding="utf-8"))
+        try:
+            mesh = parse_off(path.read_text(encoding="utf-8"))
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
         pts = sample_mesh(mesh, max(4 * n_pts, n_pts), seed).points
     else:
         raise DataError(f"{path}: unsupported extension (want .pts or .off)")

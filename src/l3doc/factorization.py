@@ -244,21 +244,12 @@ def count_l3doc(spec: FactorSpec, t_max: int) -> int:
     return sum(row["total"] for row in l3doc_layer_counts(spec, t_max))
 
 
-def _factor_elements(task) -> int:
-    return sum(int(np.asarray(t.data if isinstance(t, Tensor) else t).size)
-               for t in [*task.kernels, *task.contractions])
+def _factor_elements(task: TaskFactors) -> int:
+    return sum(int(t.data.size) for t in [*task.kernels, *task.contractions])
 
 
-def parameter_census(kb: KnowledgeBase, tasks: Sequence) -> int:
+def parameter_census(kb: KnowledgeBase, tasks: Sequence[TaskFactors]) -> int:
     """Actually allocated elements of all L, K, C tensors (heads and biases
-    are counted separately, see parameter_census_detail)."""
+    are not counted)."""
     shared = sum(int(t.data.size) for t in kb.layers)
     return shared + sum(_factor_elements(task) for task in tasks)
-
-
-def parameter_census_detail(kb: KnowledgeBase, tasks: Sequence) -> dict:
-    extras = 0
-    for task in tasks:
-        for t in [*task.biases, *task.head_weights, *task.head_biases]:
-            extras += int(np.asarray(t.data if isinstance(t, Tensor) else t).size)
-    return {"factorized": parameter_census(kb, tasks), "heads_and_biases": extras}

@@ -11,6 +11,7 @@ Each weight family sums to 1/l_max, l_max being the factorized layer count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,11 +26,14 @@ from .factorization import KnowledgeBase, TaskFactors
 @dataclass(frozen=True)
 class MamConfig:
     lambda_l: float = 1.0
+    # One value only; the key stays so that configs naming it stay valid.
     detach_attention: bool = True
 
     def __post_init__(self):
-        if self.lambda_l < 0:
-            raise ConfigError(f"knowledge-gap weight must be >= 0, got {self.lambda_l}")
+        if not (math.isfinite(self.lambda_l) and self.lambda_l >= 0):
+            raise ConfigError(f"knowledge-gap weight must be finite and >= 0, got {self.lambda_l}")
+        if self.detach_attention is not True:
+            raise ConfigError(f"detach_attention must be true, got {self.detach_attention!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ def knowledge_gap_loss(kb: KnowledgeBase) -> Tensor:
     """
     frozen = kb.snapshot
     gaps = [ad.sq_l2_diff(ad.constant(prev), live) for prev, live in zip(frozen, kb.layers)]
-    return ad.sum_all(ad.stack_scalars(gaps)) if len(gaps) > 1 else gaps[0]
+    return ad.sum_all(ad.stack_scalars(gaps))
 
 
 def factor_gap_losses(current: TaskFactors, archive: Sequence) -> list[tuple[Tensor, Tensor]]:
@@ -66,9 +70,7 @@ def factor_gap_losses(current: TaskFactors, archive: Sequence) -> list[tuple[Ten
                    for pk, ck in zip(past.kernels, current.kernels)]
         c_terms = [ad.sq_l2_diff(ad.constant(np.asarray(pc)), cc)
                    for pc, cc in zip(past.contractions, current.contractions)]
-        k_gap = ad.sum_all(ad.stack_scalars(k_terms)) if len(k_terms) > 1 else k_terms[0]
-        c_gap = ad.sum_all(ad.stack_scalars(c_terms)) if len(c_terms) > 1 else c_terms[0]
-        out.append((k_gap, c_gap))
+        out.append((ad.sum_all(ad.stack_scalars(k_terms)), ad.sum_all(ad.stack_scalars(c_terms))))
     return out
 
 
@@ -88,26 +90,18 @@ def total_loss(lc: Tensor, kb: KnowledgeBase, current: TaskFactors,
 
     With no past tasks this *is* the classification loss (the same node).
     Otherwise the knowledge and factor gaps are added, the factor gaps
-    weighted by attention scores recomputed from the current values; by
-    default the scores act as constants ("detached"), i.e. selection
-    weights rather than a differentiated quantity.  ``pinned_scores``
-    bypasses recomputation (used by gradient checks to evaluate the same
-    objective the backward pass differentiates).
+    weighted by attention scores recomputed from the current values.  The
+    scores act as constants ("detached"), i.e. selection weights rather
+    than a differentiated quantity.  ``pinned_scores`` bypasses
+    recomputation (used by gradient checks to evaluate the same objective
+    the backward pass differentiates).
     """
     if not archive:
         return lc
-    l_max = len(kb.layers)
     gaps = factor_gap_losses(current, archive)
     total = ad.add(lc, ad.scale(knowledge_gap_loss(kb), cfg.lambda_l))
-    if cfg.detach_attention:
-        scores = pinned_scores if pinned_scores is not None else attention_scores(
-            [float(k.data) for k, _ in gaps], [float(c.data) for _, c in gaps], l_max)
-        for (k_gap, c_gap), (wk, wc) in zip(gaps, scores.pairs):
-            total = ad.add(total, ad.add(ad.scale(k_gap, wk), ad.scale(c_gap, wc)))
-    else:
-        k_vec = ad.stack_scalars([k for k, _ in gaps])
-        c_vec = ad.stack_scalars([c for _, c in gaps])
-        k_term = ad.sum_all(ad.mul(ad.scale(ad.softmax(k_vec), 1.0 / l_max), k_vec))
-        c_term = ad.sum_all(ad.mul(ad.scale(ad.softmax(c_vec), 1.0 / l_max), c_vec))
-        total = ad.add(total, ad.add(k_term, c_term))
+    scores = pinned_scores if pinned_scores is not None else attention_scores(
+        [float(k.data) for k, _ in gaps], [float(c.data) for _, c in gaps], len(kb.layers))
+    for (k_gap, c_gap), (wk, wc) in zip(gaps, scores.pairs):
+        total = ad.add(total, ad.add(ad.scale(k_gap, wk), ad.scale(c_gap, wc)))
     return total

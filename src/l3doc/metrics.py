@@ -74,15 +74,11 @@ class RunLog:
         return h.hexdigest()
 
 
-def ppa(trace: Sequence[float], top_frac: float = 0.05, aggregate: str = "mean") -> float:
+def ppa(trace: Sequence[float], top_frac: float = 0.05) -> float:
     """Mean of the top ceil(top_frac * epochs) accuracies of a task's own
-    training phase ("max" collapses to the single best epoch)."""
+    training phase."""
     if not trace:
         raise DataError("ppa: empty accuracy trace")
-    if aggregate == "max":
-        return max(trace)
-    if aggregate != "mean":
-        raise DataError(f"ppa: unknown aggregate {aggregate!r}")
     k = math.ceil(top_frac * len(trace))
     top = sorted(trace, reverse=True)[:k]
     return sum(top) / len(top)

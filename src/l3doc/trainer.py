@@ -19,6 +19,7 @@ carry their own frozen base, so old tasks cannot degrade by construction).
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -49,9 +50,6 @@ class ExperimentConfig:
     epochs: int = 10
     batch_size: int = 16
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -59,6 +57,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.spec.widths != self.backbone.widths:
             raise ConfigError(f"factor widths {self.spec.widths} != backbone widths {self.backbone.widths}")
 
@@ -232,7 +232,7 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
             logits = forward(train_batch[idx], kernels, factors.biases,
                              factors.head_weights, factors.head_biases)
             targets = one_hot(train_labels[idx], dataset.n_classes)
-            lc = classification_loss(logits, targets, cfg.backbone.loss_kind)
+            lc = classification_loss(logits, targets)
             if cfg.mode == "l3doc":
                 total = mam_mod.total_loss(lc, kb, factors, archive.for_regularization(), cfg.mam)
             else:
@@ -241,7 +241,7 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
                 raise NumericError(
                     f"non-finite loss {float(total.data)} at task {task_id} epoch {epoch} step {b + 1}")
             grads = ad.gradients(total, params)
-            adam_step(params, grads, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            adam_step(params, grads, state, cfg.lr)
             wall_ms += (time.perf_counter() - t0) * 1e3
             losses.append(float(total.data))
         records.append(EpochRecord(task_id=task_id, epoch=epoch,
@@ -265,8 +265,8 @@ def run_sequence(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> tuple[T
             prev_factors = None
         factors, records = train_task(task_id, dataset, kb, archive, cfg, prev_factors)
         log.epochs.extend(records)
-        peak = evaluate_task(dataset, kb, factors)
-        archive.append(archive_task(task_id, factors, dataset, peak,
+        # The last epoch's evaluation saw the finished factors and base.
+        archive.append(archive_task(task_id, factors, dataset, records[-1].test_acc,
                                     kb=kb if cfg.mode == "stl" else None))
         kb.take_snapshot()
         for seen_id, acc in sorted(evaluate_archive(kb, archive).items()):

@@ -87,6 +87,21 @@ class TestRun:
         assert code == 4
         assert "non-finite loss" in capsys.readouterr().err
 
+    def test_non_finite_off_vertex_exits_3(self, tmp_path, capsys):
+        for split in ("train", "test"):
+            (tmp_path / "data" / "tetra" / split).mkdir(parents=True)
+            (tmp_path / "data" / "tetra" / split / "a.off").write_text(
+                "OFF\n4 1 0\nnan 0.0 0.0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n")
+        path = write_config(tmp_path, dataset={
+            "type": "directory", "root": str(tmp_path / "data"), "tasks": [["tetra"]], "points": 8})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "a.off: line 3: non-finite" in capsys.readouterr().err
+
+    def test_directory_dataset_without_root_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, dataset={"type": "directory", "tasks": [["sphere"]]})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "'root'" in capsys.readouterr().err
+
     def test_missing_data_directory_exits_3(self, tmp_path, capsys):
         path = write_config(tmp_path, dataset={
             "type": "directory", "root": str(tmp_path / "nowhere"),
@@ -109,8 +124,33 @@ class TestConfigTypes:
                      "per_class": 2.5}},
         {"dataset": {"type": "directory", "root": "data", "tasks": [["cube"]],
                      "normalize": "yes"}},
+        {"dataset": {"type": "synthetic", "num_tasks": "five", "classes_per_task": 3}},
+        {"dataset": {"type": "synthetic", "num_tasks": 5, "classes_per_task": -1}},
+        {"dataset": {"type": "synthetic", "tasks": 3}},
+        {"dataset": {"type": "synthetic", "tasks": [["cube"], []]}},
+        {"dataset": {"type": "directory", "root": 5, "tasks": [["cube"]]}},
+        {"beta1": 0.9},
+        {"backbone": {"widths": [3, 32, 32, 64], "loss_kind": "cross_entropy"}},
+        {"mam": {"detach_attention": False}},
     ], ids=repr)
     def test_wrong_type_in_desk_config_exits_2(self, tmp_path, capsys, change):
+        self._assert_exits_2(tmp_path, capsys, change)
+
+    @pytest.mark.parametrize("change", [
+        {"lr": float("nan")},
+        {"lr": -1.0},
+        {"lr": float("inf")},
+        {"mam": {"lambda_l": float("nan")}},
+        {"dataset": {"type": "synthetic", "num_tasks": 5, "classes_per_task": 3,
+                     "noise_sigma": float("nan")}},
+        {"dataset": {"type": "synthetic", "num_tasks": 5, "classes_per_task": 3,
+                     "noise_sigma": -0.1}},
+    ], ids=repr)
+    def test_out_of_range_value_in_desk_config_exits_2(self, tmp_path, capsys, change):
+        self._assert_exits_2(tmp_path, capsys, change)
+
+    @staticmethod
+    def _assert_exits_2(tmp_path, capsys, change):
         raw = json.loads((ROOT / "scripts" / "desk_config.json").read_text(encoding="utf-8"))
         raw.update(change)
         path = tmp_path / "config.json"

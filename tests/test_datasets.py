@@ -61,6 +61,11 @@ class TestParseOff:
     def test_bytes_accepted(self):
         assert ds.parse_off(TETRA_OFF.encode()).vertices.shape == (4, 3)
 
+    @pytest.mark.parametrize("coords", ["nan 0.0 0.0", "0.0 inf 0.0", "0.0 0.0 -inf"])
+    def test_non_finite_vertex_names_its_line(self, coords):
+        with pytest.raises(DataError, match="line 4: non-finite"):
+            ds.parse_off(TETRA_OFF.replace("1.0 0.0 0.0", coords))
+
 
 class TestSampleMesh:
     def test_single_triangle_containment(self):
@@ -251,6 +256,13 @@ class TestFileIO:
         path = tmp_path / "bad.pts"
         path.write_text("3 3\n0 0 0\n1 1 1\n")
         with pytest.raises(DataError):
+            ds.read_pts(path)
+
+    @pytest.mark.parametrize("row", ["nan 0 0", "0 inf 0"])
+    def test_pts_non_finite_names_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.pts"
+        path.write_text(f"3 3\n0 0 0\n1 1 1\n{row}\n")
+        with pytest.raises(DataError, match="line 4: non-finite"):
             ds.read_pts(path)
 
     def test_dataset_dir_round_trip(self, tmp_path):

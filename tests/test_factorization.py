@@ -207,12 +207,3 @@ class TestParameterCounts:
         tasks = [fz.init_or_inherit_factors(None, spec, (1024, 5), seed=i, task_id=i + 1)
                  for i in range(3)]
         assert fz.parameter_census(kb, tasks) == fz.count_l3doc(spec, 3)
-
-    def test_census_detail_reports_extras_separately(self):
-        spec = micro_spec()
-        kb = fz.init_knowledge_base(spec, seed=0)
-        task = fz.init_or_inherit_factors(None, spec, (8, 4, 2), seed=1, task_id=1)
-        detail = fz.parameter_census_detail(kb, [task])
-        assert detail["factorized"] == fz.count_l3doc(spec, 1)
-        # biases 8+8, head 8*4+4 and 4*2+2
-        assert detail["heads_and_biases"] == 16 + (32 + 4) + (8 + 2)

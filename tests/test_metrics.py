@@ -22,9 +22,6 @@ class TestPpa:
     def test_single_epoch(self):
         assert mx.ppa([0.42]) == 0.42
 
-    def test_max_aggregate_flag(self):
-        assert mx.ppa([0.1, 0.9, 0.3], aggregate="max") == 0.9
-
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             mx.ppa([])
