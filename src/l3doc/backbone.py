@@ -34,6 +34,8 @@ class BackboneConfig:
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         object.__setattr__(self, "head_widths", tuple(int(w) for w in self.head_widths))
+        if any(w < 1 for w in self.head_widths):
+            raise ConfigError(f"head_widths must be >= 1, got {self.head_widths}")
         if self.loss_kind != "squared":
             raise ConfigError(f"loss_kind must be 'squared', got {self.loss_kind!r}")
 

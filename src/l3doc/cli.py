@@ -15,10 +15,10 @@ supplied value must have its default's type):
     {
       "schema_version": 1,              // required, must be 1
       "mode": "l3doc",                  // l3doc | stl | finetune
-      "seed": 0,
+      "seed": 0,                        // >= 0
       "epochs": 10, "batch_size": 16, "lr": 0.001,   // lr finite, >= 0
       "spec": {"n_hat": 16, "l_hat": 32, "s": 2},
-      "backbone": {"widths": [3,64,64,128,128,1024],
+      "backbone": {"widths": [3,64,64,128,128,1024],   // head widths >= 1
                     "head_widths": [256], "loss_kind": "squared"},  // only "squared"
       "mam": {"lambda_l": 1.0,          // finite, >= 0
               "detach_attention": true}, // only true
@@ -26,12 +26,13 @@ supplied value must have its default's type):
       "out_dir": "runs/exp"             // or pass --out
     }
 
-Dataset sources (num_tasks, classes_per_task, root and tasks have no default):
-    {"type": "synthetic", "class_pool": [...all 8 primitive names...],
-     "num_tasks": 5, "classes_per_task": 3,   // or explicit "tasks": [[...], ...]
-     "per_class": 20, "points": 128, "noise_sigma": 0.01}
+Dataset sources (num_tasks, classes_per_task, root and tasks have no default;
+resolved-config.json lists the other keys with their defaults):
+    {"type": "synthetic", "class_pool": [...all 8 primitive names...],   // distinct
+     "num_tasks": 5, "classes_per_task": 3,   // >= 1; or "tasks", then class_pool is unused
+     "per_class": 20, "points": 128, "noise_sigma": 0.01}   // points >= 1
     {"type": "directory", "root": "path", "tasks": [["chair","table"], ...],
-     "points": 1024, "normalize": true}
+     "points": 1024, "normalize": true}   // a task names distinct classes
 """
 
 from __future__ import annotations
@@ -64,25 +65,12 @@ REFERENCE_CLAIM = "1.68x~3.36x fewer parameters than independent per-task models
 _DEFAULTS = {**dataclasses.asdict(ExperimentConfig()), "out_dir": None}
 del _DEFAULTS["spec"]["widths"]
 
-# Per dataset type: the keys that have no default, and the defaults.
+# Per dataset type: the optional keys' defaults, a typed example of each key
+# with no default, and the sets of those keys that are enough on their own.
 _DATASET_SOURCES = {
-    "synthetic": ({"num_tasks", "classes_per_task", "tasks"}, SYNTHETIC_DEFAULTS),
-    "directory": ({"root", "tasks"}, DIRECTORY_DEFAULTS),
-}
-
-
-def _class_groups(value) -> bool:
-    return (isinstance(value, list) and len(value) > 0
-            and all(isinstance(g, list) and len(g) > 0 and all(isinstance(c, str) for c in g)
-                    for g in value))
-
-
-# What a value of each dataset key with no default must be, and its test.
-_NO_DEFAULT_CHECKS = {
-    "num_tasks": ("an int >= 1", lambda v: _matches(v, 0) and v >= 1),
-    "classes_per_task": ("an int >= 1", lambda v: _matches(v, 0) and v >= 1),
-    "tasks": ("a non-empty list of non-empty lists of class names", _class_groups),
-    "root": ("a string", lambda v: isinstance(v, str)),
+    "synthetic": (SYNTHETIC_DEFAULTS, {"num_tasks": 1, "classes_per_task": 1, "tasks": [[""]]},
+                  ({"tasks"}, {"num_tasks", "classes_per_task"})),
+    "directory": (DIRECTORY_DEFAULTS, {"root": "", "tasks": [[""]]}, ({"root", "tasks"},)),
 }
 
 
@@ -104,13 +92,10 @@ def _matches(value, default) -> bool:
     return type(value) is type(default)
 
 
-def _type_name(default) -> str:
-    return "str" if default is None else type(default).__name__
-
-
 def _check_value(value, default, where: str) -> None:
     """Reject a supplied value whose type differs from its default's: a
-    section takes an object, a list default a list of its element type."""
+    section takes an object, a list default a list whose every element
+    matches the default's first."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be an object, got {value!r}")
@@ -118,26 +103,27 @@ def _check_value(value, default, where: str) -> None:
         for key, v in value.items():
             _check_value(v, default[key], f"{where}.{key}")
     elif isinstance(default, (tuple, list)):
-        if not (isinstance(value, list) and all(_matches(v, default[0]) for v in value)):
-            raise ConfigError(f"{where} must be a list of {_type_name(default[0])}, got {value!r}")
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        for i, v in enumerate(value):
+            _check_value(v, default[0], f"{where}[{i}]")
     elif not _matches(value, default):
-        raise ConfigError(f"{where} must be of type {_type_name(default)}, got {value!r}")
+        kind = "str" if default is None else type(default).__name__
+        raise ConfigError(f"{where} must be of type {kind}, got {value!r}")
 
 
-def _check_dataset(dataset) -> None:
+def _resolve_dataset(dataset) -> dict:
+    """The dataset section with its type's defaults filled in."""
     if not isinstance(dataset, dict):
         raise ConfigError(f"config.dataset must be an object, got {dataset!r}")
     kind = dataset.get("type")
-    if kind not in _DATASET_SOURCES:
+    if not isinstance(kind, str) or kind not in _DATASET_SOURCES:
         raise ConfigError(f"dataset.type must be one of {sorted(_DATASET_SOURCES)}, got {kind!r}")
-    no_default, defaults = _DATASET_SOURCES[kind]
-    _check_keys(dataset, {"type", *no_default, *defaults}, "config.dataset")
-    for key in defaults.keys() & dataset.keys():
-        _check_value(dataset[key], defaults[key], f"config.dataset.{key}")
-    for key in no_default & dataset.keys():
-        what, ok = _NO_DEFAULT_CHECKS[key]
-        if not ok(dataset[key]):
-            raise ConfigError(f"config.dataset.{key} must be {what}, got {dataset[key]!r}")
+    defaults, examples, enough = _DATASET_SOURCES[kind]
+    _check_value(dataset, {"type": kind, **defaults, **examples}, "config.dataset")
+    if not any(keys <= dataset.keys() for keys in enough):
+        raise ConfigError(f"a {kind} dataset needs " + " or ".join(str(sorted(k)) for k in enough))
+    return {**copy.deepcopy(defaults), **copy.deepcopy(dataset)}
 
 
 def resolve_config(raw: dict, overrides: dict) -> dict:
@@ -150,9 +136,8 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}")
     if "dataset" not in raw:
         raise ConfigError("config needs a 'dataset' section")
-    _check_dataset(raw["dataset"])
     resolved = copy.deepcopy(_DEFAULTS)
-    resolved.update(schema_version=SCHEMA_VERSION, dataset=copy.deepcopy(raw["dataset"]))
+    resolved.update(schema_version=SCHEMA_VERSION, dataset=_resolve_dataset(raw["dataset"]))
     supplied = {k: v for k, v in raw.items() if k not in ("schema_version", "dataset")}
     supplied.update((k, v) for k, v in overrides.items() if v is not None)
     for key, value in supplied.items():
@@ -178,26 +163,21 @@ def experiment_from_resolved(resolved: dict) -> ExperimentConfig:
 
 
 def build_tasks(resolved: dict) -> list:
-    seed = resolved["seed"]
-    if resolved["dataset"]["type"] == "synthetic":
-        d = {**SYNTHETIC_DEFAULTS, **resolved["dataset"]}
-        if "tasks" in d:
-            plans = [tuple(t) for t in d["tasks"]]
-        else:
-            try:
-                num_tasks, per_task = d["num_tasks"], d["classes_per_task"]
-            except KeyError as e:
-                raise ConfigError(f"synthetic dataset needs {e.args[0]} (or an explicit 'tasks' list)") from None
-            plans = make_split_plan(d["class_pool"], num_tasks, per_task, seed=[seed, 101]).tasks
-        return [gen_synthetic(classes, d["per_class"], d["points"], d["noise_sigma"],
-                              seed=[seed, 201, i], task_id=i + 1)
+    seed, d = resolved["seed"], resolved["dataset"]
+    if "tasks" in d:
+        plans = d["tasks"]
+    else:
+        plans = make_split_plan(d["class_pool"], d["num_tasks"], d["classes_per_task"],
+                                seed=[seed, 101]).tasks
+    if not plans:
+        raise ConfigError("config.dataset.tasks must name at least one task")
+    if d["type"] == "directory":
+        return [load_task_from_dir(Path(d["root"]), classes, task_id=i + 1, n_pts=d["points"],
+                                   seed=[seed, 301, i], normalize=d["normalize"])
                 for i, classes in enumerate(plans)]
-    d = {**DIRECTORY_DEFAULTS, **resolved["dataset"]}
-    if "root" not in d or "tasks" not in d:
-        raise ConfigError("directory dataset needs a 'root' and an explicit 'tasks' list of class groups")
-    return [load_task_from_dir(Path(d["root"]), tuple(classes), task_id=i + 1,
-                               n_pts=d["points"], seed=[seed, 301, i], normalize=d["normalize"])
-            for i, classes in enumerate(d["tasks"])]
+    return [gen_synthetic(classes, d["per_class"], d["points"], d["noise_sigma"],
+                          seed=[seed, 201, i], task_id=i + 1)
+            for i, classes in enumerate(plans)]
 
 
 def cmd_run(args) -> int:

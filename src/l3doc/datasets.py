@@ -24,7 +24,7 @@ from .errors import ConfigError, DataError
 PRIMITIVES = ("sphere", "cube", "cylinder", "cone", "torus", "plane", "helix", "cross")
 
 # Defaults of the optional keys of a run config's two dataset sources; the
-# CLI's dataset builder and `l3doc gen-synth` both read them.
+# CLI's config resolver and `l3doc gen-synth` both read them.
 SYNTHETIC_DEFAULTS = {"class_pool": PRIMITIVES, "per_class": 20, "points": 128,
                       "noise_sigma": 0.01}
 DIRECTORY_DEFAULTS = {"points": 1024, "normalize": True}
@@ -195,10 +195,14 @@ def make_split_plan(class_names: Sequence[str], num_tasks: int,
     """Each task draws classes without replacement; tasks reuse the pool
     freely (ten 5-class tasks from a 10-class pool force reuse)."""
     names = tuple(class_names)
+    if num_tasks < 1 or classes_per_task < 1:
+        raise ConfigError(f"num_tasks and classes_per_task must be >= 1, got {num_tasks}, {classes_per_task}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"class pool repeats a name: {list(names)}")
     if classes_per_task > len(names):
         raise ConfigError(f"cannot draw {classes_per_task} distinct classes from {len(names)}")
     rng = np.random.default_rng(seed)
-    tasks = tuple(tuple(rng.choice(names, size=classes_per_task, replace=False))
+    tasks = tuple(tuple(rng.choice(names, size=classes_per_task, replace=False).tolist())
                   for _ in range(num_tasks))
     return SplitPlan(seed=seed, tasks=tasks)
 
@@ -228,12 +232,12 @@ def _box_surface(rng, n, hx, hy, hz):
     axis = face // 2
     sign = np.where(face % 2 == 0, 1.0, -1.0)
     half = np.array([hx, hy, hz])
-    for i in range(n):
-        a = axis[i]
+    for a in range(3):
+        m = axis == a
         o1, o2 = [d for d in range(3) if d != a]
-        pts[i, a] = sign[i] * half[a]
-        pts[i, o1] = u[i] * half[o1]
-        pts[i, o2] = v[i] * half[o2]
+        pts[m, a] = sign[m] * half[a]
+        pts[m, o1] = u[m] * half[o1]
+        pts[m, o2] = v[m] * half[o2]
     return pts
 
 
@@ -325,6 +329,14 @@ def random_rotation(rng) -> np.ndarray:
     return q
 
 
+def _check_task(classes: Sequence[str], n_pts: int) -> None:
+    """The config values every task builder takes: class names and point count."""
+    if not classes or len(set(classes)) != len(classes):
+        raise ConfigError(f"a task needs a non-empty list of distinct class names, got {list(classes)}")
+    if n_pts < 1:
+        raise ConfigError(f"points must be >= 1, got {n_pts}")
+
+
 def _test_count(per_class: int) -> int:
     return max(1, round(0.2 * per_class))
 
@@ -333,6 +345,7 @@ def gen_synthetic(classes: Sequence[str], per_class: int, n_pts: int,
                   noise_sigma: float, seed, task_id: int = 1) -> TaskDataset:
     """Surface-sampled primitives with random rotation and Gaussian jitter,
     split 80/20 into train/test per class."""
+    _check_task(classes, n_pts)
     for name in classes:
         if name not in _SAMPLERS:
             raise ConfigError(f"unknown synthetic class {name!r}; choose from {PRIMITIVES}")
@@ -423,6 +436,7 @@ def load_task_from_dir(root: Path, class_names: Sequence[str], task_id: int,
                        n_pts: int, seed=0, normalize: bool = True) -> TaskDataset:
     """Build a TaskDataset from the directory layout; files are taken in
     path-sorted order so ingestion is deterministic."""
+    _check_task(class_names, n_pts)
     root = Path(root)
     train, test = [], []
     for label, cls in enumerate(class_names):

@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.spec.widths != self.backbone.widths:
@@ -244,6 +246,8 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
             adam_step(params, grads, state, cfg.lr)
             wall_ms += (time.perf_counter() - t0) * 1e3
             losses.append(float(total.data))
+        if not all(np.isfinite(p.data).all() for p in params):
+            raise NumericError(f"non-finite parameter after task {task_id} epoch {epoch}")
         records.append(EpochRecord(task_id=task_id, epoch=epoch,
                                    train_loss=sum(losses) / len(losses),
                                    test_acc=evaluate_task(dataset, kb, factors),

@@ -168,3 +168,8 @@ class TestConfig:
         for kind in ("hinge", "cross_entropy"):
             with pytest.raises(ConfigError):
                 bb.BackboneConfig(loss_kind=kind)
+
+    @pytest.mark.parametrize("head_widths", [(0,), (-1,), (8, 0)])
+    def test_non_positive_head_width_rejected(self, head_widths):
+        with pytest.raises(ConfigError):
+            bb.BackboneConfig(head_widths=head_widths)

@@ -1,12 +1,16 @@
+import copy
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l3doc import cli
-from l3doc.datasets import DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS
+from l3doc.datasets import DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, write_dataset_dir
+from l3doc.errors import ConfigError, DataError
 from l3doc.metrics import parse_jsonl
 from l3doc.trainer import ExperimentConfig
 
@@ -145,6 +149,17 @@ class TestConfigTypes:
                      "noise_sigma": float("nan")}},
         {"dataset": {"type": "synthetic", "num_tasks": 5, "classes_per_task": 3,
                      "noise_sigma": -0.1}},
+        {"seed": -1},
+        {"backbone": {"widths": [3, 32, 32, 64], "head_widths": [0]}},
+        {"backbone": {"widths": [3, 32, 32, 64], "head_widths": [-1]}},
+        {"dataset": {"type": "synthetic", "num_tasks": 5, "classes_per_task": 3, "points": -5}},
+        {"dataset": {"type": "synthetic", "num_tasks": 5, "classes_per_task": 3, "points": 0}},
+        {"dataset": {"type": "directory", "root": "data", "tasks": [["cube"]], "points": -5}},
+        {"dataset": {"type": "directory", "root": "data", "tasks": [["cube"]], "points": 0}},
+        {"dataset": {"type": "synthetic", "tasks": [["cube", "cube"]]}},
+        {"dataset": {"type": "synthetic", "tasks": []}},
+        {"dataset": {"type": "synthetic", "class_pool": ["cube", "sphere", "cube"],
+                     "num_tasks": 2, "classes_per_task": 2}},
     ], ids=repr)
     def test_out_of_range_value_in_desk_config_exits_2(self, tmp_path, capsys, change):
         self._assert_exits_2(tmp_path, capsys, change)
@@ -174,6 +189,14 @@ class TestSingleDefinitions:
         resolved = cli.resolve_config(self.MINIMAL, {})
         assert cli.experiment_from_resolved(resolved) == ExperimentConfig()
 
+    @pytest.mark.parametrize("dataset, defaults", [
+        ({"type": "synthetic", "num_tasks": 2, "classes_per_task": 2}, SYNTHETIC_DEFAULTS),
+        ({"type": "directory", "root": "data", "tasks": [["cube"]]}, DIRECTORY_DEFAULTS),
+    ], ids=["synthetic", "directory"])
+    def test_minimal_dataset_resolves_with_every_default(self, dataset, defaults):
+        resolved = cli.resolve_config({"schema_version": 1, "dataset": dataset}, {})
+        assert resolved["dataset"] == {**defaults, **dataset}
+
     def test_readme_config_blocks_show_the_real_defaults(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
@@ -191,6 +214,55 @@ class TestSingleDefinitions:
             assert set(defaults) <= set(dataset), dataset["type"]
             for key, default in defaults.items():
                 assert dataset[key] == json.loads(json.dumps(default)), key
+
+
+TINY = {"schema_version": 1, "epochs": 1, "batch_size": 4,
+        "spec": {"n_hat": 4, "l_hat": 4, "s": 2},
+        "backbone": {"widths": [3, 8, 8], "head_widths": [8]}}
+TINY_DATASETS = {
+    "synthetic": {"type": "synthetic", "class_pool": ["sphere", "cube", "plane"],
+                  "num_tasks": 2, "classes_per_task": 2,
+                  "per_class": 3, "points": 8, "noise_sigma": 0.01},
+    "directory": {"type": "directory", "tasks": [["cube", "sphere"]], "points": 8},
+}
+
+# One key of a tiny config, by path, and a value of the wrong type or out of range.
+_KEYS = [("mode",), ("seed",), ("epochs",), ("batch_size",), ("lr",), ("spec", "n_hat"),
+         ("spec", "l_hat"), ("spec", "s"), ("backbone", "widths"), ("backbone", "head_widths"),
+         ("mam", "lambda_l"), ("dataset", "type"), ("dataset", "class_pool"),
+         ("dataset", "num_tasks"), ("dataset", "classes_per_task"), ("dataset", "tasks"),
+         ("dataset", "per_class"), ("dataset", "points"), ("dataset", "noise_sigma"),
+         ("dataset", "root"), ("dataset", "normalize")]
+_SMALL = st.integers(min_value=-3, max_value=4)
+_VALUES = st.one_of(_SMALL, st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+                    st.none(), st.sampled_from(["", "cube", "directory", "synthetic"]),
+                    st.lists(_SMALL, max_size=3), st.lists(st.lists(st.text(max_size=4), max_size=2),
+                                                           max_size=2))
+
+
+@pytest.fixture(scope="module")
+def tiny_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny_dir")
+    write_dataset_dir(root, gen_synthetic(["cube", "sphere"], 3, 8, 0.01, seed=0))
+    return str(root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(TINY_DATASETS)), key=st.sampled_from(_KEYS), value=_VALUES)
+def test_one_bad_value_ends_in_config_or_data_error(tiny_dir, kind, key, value):
+    raw = {**copy.deepcopy(TINY), "dataset": copy.deepcopy(TINY_DATASETS[kind])}
+    if kind == "directory":
+        raw["dataset"]["root"] = tiny_dir
+    section = raw
+    for part in key[:-1]:
+        section = section.setdefault(part, {})
+    section[key[-1]] = value
+    try:
+        resolved = cli.resolve_config(raw, {})
+        cli.experiment_from_resolved(resolved)
+        cli.build_tasks(resolved)
+    except (ConfigError, DataError):
+        pass
 
 
 class TestCountParams:

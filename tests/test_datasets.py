@@ -172,6 +172,16 @@ class TestSplitPlan:
         with pytest.raises(ConfigError):
             ds.make_split_plan(["a", "b"], 2, 3, seed=0)
 
+    @pytest.mark.parametrize("pool, num_tasks, per_task", [
+        (["a", "b"], 0, 1), (["a", "b"], 2, 0), (["a", "b"], -1, 1), (["a", "a", "b"], 2, 2)])
+    def test_bad_sizes_and_repeated_pool_rejected(self, pool, num_tasks, per_task):
+        with pytest.raises(ConfigError):
+            ds.make_split_plan(pool, num_tasks, per_task, seed=0)
+
+    def test_names_are_plain_strings(self):
+        plan = ds.make_split_plan(["a", "b", "c"], 3, 2, seed=1)
+        assert all(type(name) is str for task in plan.tasks for name in task)
+
 
 class TestSynthetic:
     def test_noiseless_sphere_radius(self):
@@ -199,6 +209,12 @@ class TestSynthetic:
     def test_unknown_class_rejected(self):
         with pytest.raises(ConfigError):
             ds.gen_synthetic(["dodecahedron"], 4, 16, 0.0, seed=0)
+
+    @pytest.mark.parametrize("classes, n_pts", [
+        (["cube", "cube"], 16), ([], 16), (["cube"], 0), (["cube"], -5)])
+    def test_bad_task_rejected(self, classes, n_pts):
+        with pytest.raises(ConfigError):
+            ds.gen_synthetic(classes, 4, n_pts, 0.0, seed=0)
 
     def test_every_primitive_generates(self):
         data = ds.gen_synthetic(ds.PRIMITIVES, 2, 32, 0.0, seed=3)
@@ -289,3 +305,9 @@ class TestFileIO:
     def test_missing_class_dir(self, tmp_path):
         with pytest.raises(DataError):
             ds.load_task_from_dir(tmp_path, ("ghost",), task_id=1, n_pts=8)
+
+    @pytest.mark.parametrize("classes, n_pts", [
+        (("ghost", "ghost"), 8), ((), 8), (("ghost",), 0), (("ghost",), -5)])
+    def test_bad_task_rejected_before_reading(self, tmp_path, classes, n_pts):
+        with pytest.raises(ConfigError):
+            ds.load_task_from_dir(tmp_path, classes, task_id=1, n_pts=n_pts)

@@ -6,7 +6,7 @@ from l3doc.autodiff import Tensor
 from l3doc import datasets as ds
 from l3doc import trainer as tr
 from l3doc.backbone import BackboneConfig
-from l3doc.errors import ConfigError, DataError
+from l3doc.errors import ConfigError, DataError, NumericError
 from l3doc.factorization import FactorSpec
 from l3doc.mam import MamConfig
 
@@ -104,6 +104,16 @@ class TestTrainTask:
         kb = tr.init_knowledge_base(cfg.spec, seed=0)
         with pytest.raises(DataError):
             tr.train_task(1, bad, kb, tr.TaskArchive(), cfg)
+
+    def test_non_finite_parameter_after_last_step_raises(self, monkeypatch):
+        def nan_step(params, grads, state, lr):
+            params[0].data = np.full_like(params[0].data, np.nan)
+
+        monkeypatch.setattr(tr, "adam_step", nan_step)
+        cfg = tiny_cfg(epochs=1, batch_size=64)
+        kb = tr.init_knowledge_base(cfg.spec, seed=0)
+        with pytest.raises(NumericError, match="non-finite parameter after task 1 epoch 1"):
+            tr.train_task(1, tiny_tasks(1)[0], kb, tr.TaskArchive(), cfg)
 
 
 class TestRunSequence:
@@ -219,6 +229,10 @@ class TestRunSequence:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             tiny_cfg(mode="replay")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            tiny_cfg(seed=-1)
 
 
 class TestEvaluateArchive:
