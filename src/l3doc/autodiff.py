@@ -141,9 +141,12 @@ def _lift(x) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        raise _bad_shapes("gradient", g.shape, t.data.shape)
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -394,8 +397,12 @@ def max_pool_points(features) -> Tensor:
     a = _lift(features)
     if a.data.ndim < 2 or a.data.shape[-2] < 1:
         raise _bad_shapes("max_pool_points", a.shape)
-    idx = np.argmax(a.data, axis=-2, keepdims=True)
-    out_data = np.take_along_axis(a.data, idx, axis=-2).squeeze(axis=-2)
+    # argmax over the strided point axis is slow; an equality mask against
+    # the max finds the same first attaining point.  The output is the max
+    # itself, so a NaN column still reaches the loss.
+    top = a.data.max(axis=-2, keepdims=True)
+    idx = np.argmax(a.data == top, axis=-2, keepdims=True)
+    out_data = top.squeeze(axis=-2)
 
     def bw(g):
         ga = np.zeros_like(a.data)

@@ -120,6 +120,20 @@ class TestMaxPoolPoints:
         out = ad.max_pool_points(Tensor(x))
         np.testing.assert_array_equal(out.data, x.max(axis=1))
 
+    def test_nan_column_reaches_the_output(self):
+        out = ad.max_pool_points(Tensor([[1.0, np.nan], [3.0, 2.0]]))
+        assert out.data[0] == 3.0 and np.isnan(out.data[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_gradient_lands_on_first_maximum(self, n, f, seed):
+        # Few distinct values, so columns tie often.
+        x = ad.parameter(np.random.default_rng(seed).integers(0, 3, size=(2, n, f)).astype(float))
+        ad.sum_all(ad.max_pool_points(x)).backward()
+        want = np.zeros_like(x.data)
+        np.put_along_axis(want, np.argmax(x.data, axis=1)[:, None], 1.0, axis=1)
+        np.testing.assert_array_equal(x.grad, want)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -277,6 +291,16 @@ class TestBackward:
         x = ad.parameter(np.ones((2, 2)))
         with pytest.raises(ShapeError):
             ad.add(x, x).backward()
+
+    def test_gradient_of_wrong_shape_rejected(self):
+        # A backward rule that returned a broadcastable shape used to be
+        # summed in silently.
+        x = ad.parameter(np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="gradient"):
+            ad._accum(x, np.ones(3))
+        x.grad = np.zeros((2, 3))
+        with pytest.raises(ShapeError, match="gradient"):
+            ad._accum(x, np.ones((1, 3)))
 
     def test_shared_node_accumulates(self):
         x = ad.parameter(np.array([2.0]))
