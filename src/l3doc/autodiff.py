@@ -5,7 +5,8 @@ classifier composes its graphs from: pointwise-MLP algebra
 (matmul/add/scale/relu), global max-pooling over the point axis,
 numerically stable softmax, squared-L2 penalties, and the two
 kernel-reconstruction primitives (channel contraction and stride-1
-transposed convolution over the knowledge grid).  ``mul``, ``log`` and
+transposed convolution, which reconstruction applies to an s-row grid of
+contracted knowledge rows).  ``mul``, ``log`` and
 ``mean`` are not called by the package; the benchmark's tracer
 (bench/tracing.py) still wraps them by name.
 

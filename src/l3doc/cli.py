@@ -206,7 +206,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    widths = tuple(int(w) for w in args.widths.split(","))
+    try:
+        widths = tuple(int(w) for w in args.widths.split(","))
+    except ValueError:
+        raise ConfigError(f"--widths must be comma-separated integers, got {args.widths!r}") from None
     if args.family == "stl":
         print(count_stl(widths, args.tasks))
         return 0

@@ -75,10 +75,18 @@ class SplitPlan:
 
 # ---------------------------------------------------------------- OFF files
 
+def _utf8_text(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise DataError(f"line {lineno}: not UTF-8 text") from None
+
+
 def parse_off(text: str | bytes) -> Mesh:
     """Parse an OFF mesh; malformed input raises DataError with a line number."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = _utf8_text(text)
     rows = [(i + 1, line.split("#", 1)[0].split()) for i, line in enumerate(text.splitlines())]
     rows = [(n, toks) for n, toks in rows if toks]
     if not rows:
@@ -101,6 +109,8 @@ def parse_off(text: str | bytes) -> Mesh:
             raise DataError(f"line {lineno}: missing vertex/face counts")
         lineno, counts_toks = body[0]
         body = body[1:]
+    if len(counts_toks) < 3:
+        raise DataError(f"line {lineno}: expected vertex, face and edge counts, got {counts_toks!r}")
     n_v, n_f, _ = ints(lineno, counts_toks, 3)
     if n_v < 0 or n_f < 0 or len(body) < n_v + n_f:
         raise DataError(f"line {lineno}: counts {n_v} {n_f} exceed file contents")
@@ -109,9 +119,10 @@ def parse_off(text: str | bytes) -> Mesh:
     for i in range(n_v):
         ln, toks = body[i]
         try:
-            vertices[i] = [float(t) for t in toks[:3]]
-        except (ValueError, IndexError):
+            x, y, z = (float(t) for t in toks[:3])
+        except ValueError:
             raise DataError(f"line {ln}: expected 3 vertex coordinates, got {toks!r}") from None
+        vertices[i] = x, y, z
     bad = ~np.isfinite(vertices).all(axis=1)
     if bad.any():
         ln, toks = body[int(bad.argmax())]
@@ -376,7 +387,10 @@ def write_pts(path: Path, points: np.ndarray) -> None:
 
 
 def read_pts(path: Path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = _utf8_text(Path(path).read_bytes()).splitlines()
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
     if not lines:
         raise DataError(f"{path}: empty PTS file")
     try:
@@ -419,7 +433,7 @@ def _load_cloud(path: Path, n_pts: int, seed) -> PointCloud:
         pts = read_pts(path)
     elif path.suffix == ".off":
         try:
-            mesh = parse_off(path.read_text(encoding="utf-8"))
+            mesh = parse_off(path.read_bytes())
         except DataError as e:
             raise DataError(f"{path}: {e}") from None
         pts = sample_mesh(mesh, max(4 * n_pts, n_pts), seed).points

@@ -1,11 +1,13 @@
 """Shared point-knowledge base, per-task factors, and parameter accounting.
 
 Each pointwise convolution kernel W (1 x 1 x w_in x w_out) of the backbone
-is never stored directly.  Per layer, a shared knowledge tensor
-L (n x w_in x l_out) is expanded by a task-specific transposed-convolution
-kernel K (s x s x w_out x l_out) into an intermediate block
-D (n x w_in x w_out), which a task-specific contraction vector C (1 x 1 x n)
-collapses into W.  The latent channel counts shrink with the layer width:
+is never stored directly.  Per layer, it is the task-specific contraction
+vector C (1 x 1 x n) applied to the shared knowledge tensor L
+(n x w_in x l_out) after a task-specific transposed-convolution kernel
+K (s x s x w_out x l_out) has expanded L into an n x w_in x w_out block.
+That block is never built: C is contracted into shifted rows of L first,
+and K expands only the s rows that result.  The latent channel counts
+shrink with the layer width:
 
     n = w_out / n_hat        l_out = w_out / l_hat
 
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 from .errors import ConfigError
 
 INIT_STD = 0.05
@@ -29,6 +31,16 @@ INIT_STD = 0.05
 # Backbone MLP widths for which the per-task baseline holds 159936 kernel
 # parameters; see the README's parameter-accounting section.
 POINTNET_WIDTHS = (3, 64, 64, 128, 128, 1024)
+
+
+def _check_widths(widths: tuple[int, ...]) -> None:
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise ConfigError(f"widths must chain at least one layer of positive sizes, got {widths}")
+
+
+def _check_task_count(t_max: int) -> None:
+    if t_max < 0:
+        raise ConfigError(f"task count must be >= 0, got {t_max}")
 
 
 def latent_channels(w_out: int, n_hat: int) -> int:
@@ -56,8 +68,7 @@ class FactorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ConfigError(f"widths must chain at least one layer of positive sizes, got {self.widths}")
+        _check_widths(self.widths)
         if self.s < 1:
             raise ConfigError(f"kernel spatial size must be >= 1, got {self.s}")
         for w_out in self.widths[1:]:
@@ -190,13 +201,30 @@ def init_or_inherit_factors(prev: TaskFactors | None, spec: FactorSpec,
 def reconstruct_kernel(knowledge: Tensor, kernel: Tensor, contraction: Tensor) -> Tensor:
     """Rebuild one layer's pointwise kernel (1,1,w_in,w_out) from its factors.
 
-    The knowledge tensor is treated as an n x w_in spatial grid carrying
-    l_out channels; the task kernel expands it to w_out channels and the
-    contraction vector collapses the latent axis.  The result stays inside
-    the differentiable graph, so gradients reach all three factors.
+    The kernel is defined on the knowledge tensor as an n x w_in spatial
+    grid carrying l_out channels: the task kernel expands it to w_out
+    channels and the contraction vector collapses the latent axis,
+
+        W = channel_contract(C, transposed_conv2d(L, K)).
+
+    The contraction is done first.  Row dy of K only meets the row pairs
+    (y, y+dy), so W = sum_dy rowconv(M_dy, K[dy]) with
+    M_dy = sum_y C[y+dy] * L[y].  The M_dy are stacked into an s-row grid
+    (row s-1-dy holds M_dy), which the transposed convolution expands; the
+    grid's last row is W.  No node is larger than s x w_in x w_out, and the
+    result stays inside the differentiable graph, so gradients reach all
+    three factors.
     """
-    expanded = ad.transposed_conv2d(knowledge, kernel)
-    return ad.channel_contract(contraction, expanded)
+    if knowledge.data.ndim != 3 or kernel.data.ndim != 4 or kernel.shape[0] < 1:
+        raise ShapeError(f"reconstruct_kernel: knowledge {knowledge.shape}, kernel {kernel.shape}")
+    n, w_in, l_out = knowledge.shape
+    s = kernel.shape[0]
+    # Column block j of `shift` moves C up by s-1-j rows: row j of `shifted`.
+    shift = np.concatenate([np.eye(n, k=j + 1 - s) for j in range(s)], axis=1)
+    shifted = ad.reshape(ad.matmul(contraction, ad.constant(shift)), (s, n))
+    mixed = ad.matmul(shifted, ad.reshape(knowledge, (n, w_in * l_out)))
+    expanded = ad.transposed_conv2d(ad.reshape(mixed, (s, w_in, l_out)), kernel)
+    return ad.channel_contract(ad.constant(np.eye(s)[None, None, -1]), expanded)
 
 
 def reconstruct_layer_kernels(layers: Sequence[Tensor], factors: TaskFactors) -> list[Tensor]:
@@ -209,6 +237,8 @@ def count_stl(widths: Sequence[int], t_max: int) -> int:
 
     Bias/head parameters are deliberately excluded as negligible.
     """
+    _check_widths(tuple(widths))
+    _check_task_count(t_max)
     per_model = sum(wi * wo for wi, wo in zip(widths, widths[1:]))
     return per_model * t_max
 
@@ -217,6 +247,11 @@ def count_dfcnn(widths: Sequence[int], u: int, v_h: int, v_w: int,
                 l_h: int, l_w: int, l_c: int, t_max: int) -> int:
     """Deconvolutional-factorized baseline count:
     u*(N_W + v_h*v_w*l_h)*t_max + l_h*l_w*l_c."""
+    dims = {"u": u, "v_h": v_h, "v_w": v_w, "l_h": l_h, "l_w": l_w, "l_c": l_c}
+    bad = {k: v for k, v in dims.items() if v < 1}
+    if bad:
+        raise ConfigError(f"dfcnn dimensions must be >= 1, got {bad}")
+    _check_task_count(t_max)
     n_w = count_stl(widths, 1)
     return u * (n_w + v_h * v_w * l_h) * t_max + l_h * l_w * l_c
 
@@ -224,6 +259,7 @@ def count_dfcnn(widths: Sequence[int], u: int, v_h: int, v_w: int,
 def l3doc_layer_counts(spec: FactorSpec, t_max: int) -> list[dict]:
     """Per-layer accounting: per-task factor cost (C and K) times t_max,
     plus the one-off shared knowledge cost."""
+    _check_task_count(t_max)
     rows = []
     for layer in range(spec.num_layers):
         w_in, w_out, n, l_out = spec.layer_dims(layer)

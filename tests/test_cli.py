@@ -101,6 +101,20 @@ class TestRun:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "a.off: line 3: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, content, where", [
+        ("a.pts", b"4 3\n0 0 0\n1 0 0\n0 1 \xff\n0 0 1\n", "a.pts: line 4: not UTF-8"),
+        ("a.off", b"OFF\n3 1 0\n0 0 0\n\xc3 0 0\n0 1 0\n3 0 1 2\n", "a.off: line 4: not UTF-8"),
+        ("a.off", b"OFF \n 0", "a.off: line 2: expected vertex, face and edge counts"),
+    ], ids=["pts-not-utf8", "off-not-utf8", "off-short-counts"])
+    def test_bad_point_file_exits_3(self, tmp_path, capsys, name, content, where):
+        for split in ("train", "test"):
+            (tmp_path / "data" / "tetra" / split).mkdir(parents=True)
+            (tmp_path / "data" / "tetra" / split / name).write_bytes(content)
+        path = write_config(tmp_path, dataset={
+            "type": "directory", "root": str(tmp_path / "data"), "tasks": [["tetra"]], "points": 3})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert where in capsys.readouterr().err
+
     def test_directory_dataset_without_root_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, dataset={"type": "directory", "tasks": [["sphere"]]})
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -289,6 +303,17 @@ class TestCountParams:
     def test_dfcnn_formula(self, capsys):
         assert cli.main(["count-params", "--family", "dfcnn", "--tasks", "1"]) == 0
         assert capsys.readouterr().out.strip() == "159938"
+
+    @pytest.mark.parametrize("argv", [
+        ["--widths", "3,x"],
+        ["--widths", ""],
+        ["--family", "stl", "--tasks", "-2"],
+        ["--family", "dfcnn", "--u", "-1"],
+    ], ids=repr)
+    def test_bad_input_exits_2(self, capsys, argv):
+        assert cli.main(["count-params", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "error: config" in captured.err and captured.out == ""
 
 
 class TestGenSynth:

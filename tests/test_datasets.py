@@ -23,6 +23,19 @@ TETRA_OFF = """OFF
 TETRA_FUSED = TETRA_OFF.replace("OFF\n4 4 0", "OFF4 4 0")
 
 
+# Tokens an OFF document is made of, plus near misses.
+OFF_TOKENS = st.sampled_from(["OFF", "OFF3", "0", "1", "2", "3", "4", "-1", "1.5", "1e400",
+                              "nan", "x", "#", ""])
+OFF_DOCUMENTS = st.sampled_from([TETRA_OFF, TETRA_FUSED]).map(str.encode)
+
+
+def assert_valid_mesh(mesh):
+    assert mesh.vertices.dtype == np.float64 and mesh.vertices.shape[1:] == (3,)
+    assert np.isfinite(mesh.vertices).all()
+    assert mesh.faces.dtype == np.int64 and mesh.faces.shape[1:] == (3,)
+    assert ((0 <= mesh.faces) & (mesh.faces < len(mesh.vertices))).all()
+
+
 class TestParseOff:
     def test_tetrahedron_fixture(self):
         mesh = ds.parse_off(TETRA_OFF)
@@ -65,6 +78,39 @@ class TestParseOff:
     def test_non_finite_vertex_names_its_line(self, coords):
         with pytest.raises(DataError, match="line 4: non-finite"):
             ds.parse_off(TETRA_OFF.replace("1.0 0.0 0.0", coords))
+
+    def test_short_counts_line_names_its_line(self):
+        with pytest.raises(DataError, match="line 2: expected vertex, face and edge counts"):
+            ds.parse_off("OFF \n 0")
+
+    def test_short_vertex_line_rejected(self):
+        # A lone coordinate used to be broadcast to all three axes.
+        with pytest.raises(DataError, match="line 3: expected 3 vertex coordinates"):
+            ds.parse_off("OFF\n1 0 0\n1.0\n")
+
+    def test_non_utf8_bytes_name_their_line(self):
+        with pytest.raises(DataError, match="line 4: not UTF-8"):
+            ds.parse_off(TETRA_OFF.encode().replace(b"1.0 0.0 0.0", b"1.0 \xff 0.0", 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.lists(st.lists(OFF_TOKENS, max_size=5), max_size=8)
+                     .map(lambda rows: "\n".join(" ".join(r) for r in rows))))
+    def test_any_text_parses_or_raises_data_error(self, text):
+        try:
+            mesh = ds.parse_off(text)
+        except DataError:
+            return
+        assert_valid_mesh(mesh)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(), st.tuples(OFF_DOCUMENTS, st.binary(max_size=3), st.integers(0, 60))
+                     .map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])))
+    def test_any_bytes_parse_or_raise_data_error(self, data):
+        try:
+            mesh = ds.parse_off(data)
+        except DataError:
+            return
+        assert_valid_mesh(mesh)
 
 
 class TestSampleMesh:
@@ -280,6 +326,29 @@ class TestFileIO:
         path.write_text(f"3 3\n0 0 0\n1 1 1\n{row}\n")
         with pytest.raises(DataError, match="line 4: non-finite"):
             ds.read_pts(path)
+
+    def test_pts_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.pts"
+        path.write_bytes(b"2 3\n0 0 0\n1 \xfe 1\n")
+        with pytest.raises(DataError, match="bad.pts: line 3: not UTF-8"):
+            ds.read_pts(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=40),
+        st.lists(st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "inf", "x", ""]),
+                          max_size=4), max_size=6)
+        .map(lambda rows: "\n".join(" ".join(r) for r in rows).encode())))
+    def test_any_bytes_read_or_raise_data_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pts"
+        path.write_bytes(data)
+        try:
+            pts = ds.read_pts(path)
+        except DataError:
+            return
+        n, d = (int(t) for t in data.decode().splitlines()[0].split())
+        assert pts.dtype == np.float64 and pts.shape == (n, d)
+        assert np.isfinite(pts).all()
 
     def test_dataset_dir_round_trip(self, tmp_path):
         data = ds.gen_synthetic(["sphere", "cube"], per_class=10, n_pts=32, noise_sigma=0.01, seed=10)

@@ -87,6 +87,71 @@ class TestReconstructKernel:
                                   Tensor(np.zeros((2, 2, 8, 3))),
                                   Tensor(np.zeros((1, 1, 4))))
 
+    @pytest.mark.parametrize("n,w_in,l_out,w_out,s", [
+        *[(n, w_in, l_out, w_out, 2)
+          for w_in, w_out, n, l_out in map(fz.FactorSpec.group1().layer_dims, range(5))],
+        (1, 4, 2, 6, 2),  # n = 1
+        (2, 5, 3, 4, 3),  # n < s
+        (5, 3, 2, 4, 1),  # s = 1
+        (6, 4, 3, 5, 3),  # s = 3
+    ])
+    def test_matches_expand_then_contract(self, n, w_in, l_out, w_out, s):
+        rng = np.random.default_rng(n * 1000 + w_in + s)
+        L = Tensor(rng.normal(size=(n, w_in, l_out)))
+        K = Tensor(rng.normal(size=(s, s, w_out, l_out)))
+        C = Tensor(rng.normal(size=(1, 1, n)))
+        got = fz.reconstruct_kernel(L, K, C).data
+        want = ad.channel_contract(C, ad.transposed_conv2d(L, K)).data
+        assert got.shape == want.shape == (1, 1, w_in, w_out)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,s", [(1, 2), (2, 3), (5, 2)])
+    def test_gradients_match_central_differences(self, n, s):
+        rng = np.random.default_rng(10 + n)
+        w_in, l_out, w_out = 3, 2, 4
+        params = [ad.parameter(rng.normal(size=(n, w_in, l_out))),
+                  ad.parameter(rng.normal(size=(s, s, w_out, l_out))),
+                  ad.parameter(rng.normal(size=(1, 1, n)))]
+        weights = rng.normal(size=(1, 1, w_in, w_out))
+
+        def loss():
+            w = fz.reconstruct_kernel(*params)
+            return ad.sum_all(ad.matmul(ad.reshape(w, (1, w_in * w_out)),
+                                        ad.constant(weights.reshape(-1, 1))))
+
+        grads = ad.gradients(loss(), params)
+        eps = 1e-6
+        for p, g in zip(params, grads):
+            numeric = np.zeros_like(p.data)
+            for i in np.ndindex(p.shape):
+                keep = p.data[i]
+                p.data[i] = keep + eps
+                up = loss().item()
+                p.data[i] = keep - eps
+                down = loss().item()
+                p.data[i] = keep
+                numeric[i] = (up - down) / (2 * eps)
+            np.testing.assert_allclose(g, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_no_node_holds_the_expanded_block(self):
+        # At the widest PointNet layer the n x w_in x w_out block would be
+        # n / s = 32 times larger than any node of the reconstruction.
+        spec = fz.FactorSpec.group1()
+        w_in, w_out, n, l_out = spec.layer_dims(4)
+        kb = fz.init_knowledge_base(spec, seed=0)
+        factors = fz.init_or_inherit_factors(None, spec, head_dims=(w_out, 2), seed=1, task_id=1)
+        root = fz.reconstruct_kernel(kb.layers[4], factors.kernels[4], factors.contractions[4])
+        seen, stack, largest = set(), [root], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            largest = max(largest, node.size)
+            stack.extend(node._parents)
+        assert len(seen) > 3
+        assert largest <= spec.s * w_in * w_out < n * w_in * w_out
+
     def test_gradients_reach_all_three_factors(self):
         spec = micro_spec()
         kb = fz.init_knowledge_base(spec, seed=7)
