@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 A minimal closure tape covering the operations the lifelong point-cloud
-classifier composes its graphs from: pointwise-MLP algebra
-(matmul/add/scale/relu), global max-pooling over the point axis,
+classifier composes its graphs from: the fused pointwise layer
+``relu(x, w, b) = max(x @ w + b, 0)`` (one node per layer), general
+algebra (matmul/add/scale), global max-pooling over the point axis,
 numerically stable softmax, squared-L2 penalties, and the two
 kernel-reconstruction primitives (channel contraction and stride-1
 transposed convolution, which reconstruction applies to an s-row grid of
@@ -226,14 +227,32 @@ def matmul(a, b) -> Tensor:
     return _make(out_data, (a, b), "matmul", bw)
 
 
-def relu(a) -> Tensor:
-    a = _lift(a)
-    mask = a.data > 0.0
+def _dense_shapes(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise _bad_shapes(op, x.shape, w.shape, b.shape)
+
+
+def relu(x, w, b) -> Tensor:
+    """One pointwise layer, ``max(x @ w + b, 0)``, as a single node.
+
+    ``x`` is (..., k), ``w`` a (k, f) matrix and ``b`` an (f,) bias.  NaN
+    propagates through the activation, so it reaches the loss check.
+    """
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    _dense_shapes("relu", x, w, b)
+    out = x.data @ w.data
+    out += b.data
+    np.maximum(out, 0.0, out=out)
 
     def bw(g):
-        _accum(a, g * mask)
+        gz = g * (out > 0.0)
+        if x.requires_grad:
+            _accum(x, gz @ w.data.T)
+        _accum(w, x.data.reshape(-1, x.data.shape[-1]).T @ gz.reshape(-1, gz.shape[-1]))
+        _accum(b, gz.sum(axis=tuple(range(gz.ndim - 1))))
 
-    return _make(np.where(mask, a.data, 0.0), (a,), "relu", bw)
+    return _make(out, (x, w, b), "relu", bw)
 
 
 def log(a) -> Tensor:

@@ -61,15 +61,11 @@ def forward(batch: np.ndarray, kernels: Sequence[Tensor], biases: Sequence[Tenso
             raise ShapeError(f"forward: layer {i + 1} kernel {k.shape} breaks width chain {chain}")
     x = ad.constant(np.stack([canonical_order(obj) for obj in batch]))
     for k, b in zip(kernels, biases):
-        w = ad.reshape(k, (int(k.shape[2]), int(k.shape[3])))
-        x = ad.relu(ad.add(ad.matmul(x, w), b))
-    pooled = ad.max_pool_points(x)
-    h = pooled
-    for i, (w, b) in enumerate(zip(head_weights, head_biases)):
-        h = ad.add(ad.matmul(h, w), b)
-        if i < len(head_weights) - 1:
-            h = ad.relu(h)
-    return h
+        x = ad.relu(x, ad.reshape(k, (int(k.shape[2]), int(k.shape[3]))), b)
+    h = ad.max_pool_points(x)
+    for w, b in zip(head_weights[:-1], head_biases[:-1]):
+        h = ad.relu(h, w, b)
+    return ad.add(ad.matmul(h, head_weights[-1]), head_biases[-1])
 
 
 def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:

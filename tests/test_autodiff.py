@@ -135,6 +135,58 @@ class TestMaxPoolPoints:
         np.testing.assert_array_equal(x.grad, want)
 
 
+class TestRelu:
+    """The fused layer ``max(x @ w + b, 0)``."""
+
+    def test_relu_identity_zero_random(self):
+        rng = np.random.default_rng(14)
+        a = np.abs(rnd(rng, 6, 3))
+        eye, zero = Tensor(np.eye(3)), Tensor(np.zeros(3))
+        np.testing.assert_array_equal(ad.relu(Tensor(a), eye, zero).data, a)
+        assert np.all(ad.relu(Tensor(-a), eye, zero).data == 0.0)
+        mixed = rnd(rng, 20)
+        want = np.array([[max(0.0, x)] for x in mixed])
+        np.testing.assert_array_equal(ad.relu(Tensor(mixed[:, None]), Tensor([[1.0]]), Tensor([0.0])).data, want)
+
+    @pytest.mark.parametrize("shape", [(7, 3), (2, 5, 3)])
+    def test_matches_numpy_reference(self, shape):
+        rng = np.random.default_rng(19)
+        x, w, b = rnd(rng, *shape), rnd(rng, 3, 4), rnd(rng, 4)
+        b[0] = -50.0  # one column below zero everywhere
+        got = ad.relu(Tensor(x), Tensor(w), Tensor(b)).data
+        want = np.maximum(x @ w + b, 0.0)
+        assert got.shape == want.shape and np.all(got[..., 0] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)])
+    def test_gradients_match_central_differences(self, shape):
+        rng = np.random.default_rng(20)
+        x = ad.parameter(None, rng, shape, std=1.0)
+        w = ad.parameter(None, rng, (3, 4), std=1.0)
+        b = ad.parameter(None, rng, (4,), std=1.0)
+        target = Tensor(rnd(rng, *shape[:-1], 4))
+        params = [x, w, b]
+
+        def build():
+            return ad.sq_l2_diff(ad.relu(x, w, b), target)
+
+        analytic = ad.gradients(build(), params)
+        numeric = oracles.central_differences(lambda: build().item(), params)
+        for a, n in zip(analytic, numeric):
+            assert oracles.grads_close(a, n, tol=1e-3)
+
+    def test_nan_pre_activation_reaches_the_output(self):
+        out = ad.relu(Tensor([[np.nan], [2.0]]), Tensor([[1.0, -1.0]]), Tensor(np.zeros(2)))
+        assert np.all(np.isnan(out.data[0]))
+        np.testing.assert_array_equal(out.data[1], [2.0, 0.0])
+
+    def test_shape_mismatch_names_all_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\).*\(2,\)"):
+            ad.relu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):
+            ad.relu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = ad.softmax(Tensor([3.7, 3.7]))
@@ -239,15 +291,6 @@ class TestStandardOps:
         want = np.array([2.5 * x for x in a])
         assert np.max(np.abs(ad.scale(Tensor(a), 2.5).data - want)) <= 1e-12
 
-    def test_relu_identity_zero_random(self):
-        rng = np.random.default_rng(14)
-        a = np.abs(rnd(rng, 6))
-        np.testing.assert_array_equal(ad.relu(Tensor(a)).data, a)
-        assert np.all(ad.relu(Tensor(-a)).data == 0.0)
-        mixed = rnd(rng, 20)
-        want = np.array([max(0.0, x) for x in mixed])
-        np.testing.assert_array_equal(ad.relu(Tensor(mixed)).data, want)
-
     def test_mean_identity_zero_random(self):
         assert ad.mean(Tensor([7.0])).item() == 7.0
         assert ad.mean(Tensor(np.zeros(5))).item() == 0.0
@@ -321,8 +364,7 @@ class TestBackward:
         params = [w1, b1, w2, b2]
 
         def build():
-            h = ad.relu(ad.add(ad.matmul(Tensor(pts), w1), b1))
-            pooled = ad.max_pool_points(h)
+            pooled = ad.max_pool_points(ad.relu(Tensor(pts), w1, b1))
             logits = ad.add(ad.matmul(ad.reshape(pooled, (1, 4)), w2), b2)
             probs = ad.softmax(logits, axis=-1)
             return ad.sq_l2_diff(probs, Tensor(target.reshape(1, 2)))
@@ -356,5 +398,5 @@ class TestBackward:
         rng = np.random.default_rng(18)
         big = Tensor(rng.normal(size=8) * 500.0)
         assert np.all(np.isfinite(ad.softmax(big).data))
-        chain = ad.mean(ad.relu(ad.scale(big, 3.0)))
+        chain = ad.mean(ad.relu(ad.reshape(ad.scale(big, 3.0), (8, 1)), Tensor([[1.0]]), Tensor([0.0])))
         assert np.isfinite(chain.item())

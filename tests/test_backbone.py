@@ -82,6 +82,13 @@ class TestForward:
         assert np.array_equal(doubled[:3], single)
         assert np.array_equal(doubled[3:], single)
 
+    def test_nan_hidden_pre_activation_gives_nan_logits(self):
+        rng = np.random.default_rng(9)
+        kernels, biases, head_w, head_b = micro_params(10)
+        biases[0].data[0] = np.nan
+        logits = bb.forward(rng.normal(size=(2, 6, 3)), kernels, biases, head_w, head_b).data
+        assert np.all(np.isnan(logits))
+
     def test_width_chain_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         batch = rng.normal(size=(1, 4, 3))

@@ -115,6 +115,16 @@ class TestTrainTask:
         with pytest.raises(NumericError, match="non-finite parameter after task 1 epoch 1"):
             tr.train_task(1, tiny_tasks(1)[0], kb, tr.TaskArchive(), cfg)
 
+    def test_nan_activation_reaches_the_loss_check(self):
+        # A NaN hidden pre-activation used to be zeroed by the activation,
+        # so the loss stayed finite and training went on.
+        cfg = tiny_cfg(epochs=1, batch_size=64)
+        kb = tr.init_knowledge_base(cfg.spec, seed=0)
+        prev = tr.init_or_inherit_factors(None, cfg.spec, cfg.backbone.head_dims(2), seed=0, task_id=1)
+        prev.biases[0].data[0] = np.nan
+        with pytest.raises(NumericError, match="non-finite loss nan at task 2 epoch 1 step 1"):
+            tr.train_task(2, tiny_tasks(1)[0], kb, tr.TaskArchive(), cfg, prev)
+
 
 class TestRunSequence:
     def test_single_task_matches_train_task(self):
