@@ -1,15 +1,27 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 A minimal closure tape covering the operations the lifelong point-cloud
-classifier composes its graphs from: the fused pointwise layer
-``relu(x, w, b) = max(x @ w + b, 0)`` (one node per layer), general
-algebra (matmul/add/scale), global max-pooling over the point axis,
-numerically stable softmax, squared-L2 penalties, and the two
-kernel-reconstruction primitives (channel contraction and stride-1
-transposed convolution, which reconstruction applies to an s-row grid of
-contracted knowledge rows).  ``mul``, ``log`` and
-``mean`` are not called by the package; the benchmark's tracer
-(bench/tracing.py) still wraps them by name.
+classifier composes its graphs from:
+
+- ``relu(x, w, b)``: one whole pointwise layer, ``max(x @ w + b, 0)``, as a
+  single node (pointwise layers 1 to L-1 and the head's hidden layers);
+- ``max_pool_points(x, w, b)``: the last pointwise layer fused with the
+  max over the point axis.  It multiplies the points chunk by chunk and
+  keeps, per output column, the running maximum and the first point that
+  attains it (PointNet's critical point), so the (batch, n_pts, w_last)
+  activation is never built and backward touches one point per column;
+- general algebra (``matmul``/``add``/``scale``, ``reshape``, ``sum_all``,
+  ``stack_scalars``), numerically stable ``softmax`` and squared-L2
+  penalties;
+- the two kernel-reconstruction primitives (channel contraction and
+  stride-1 transposed convolution, which reconstruction applies to an
+  s-row grid of contracted knowledge rows).
+
+Both fused ops let NaN through, so a NaN activation reaches the loss check.
+They keep the names of the unary ops they replace because the benchmark's
+tracer (bench/tracing.py) wraps ops by name, so every node the package
+builds stays traced.  ``mul``, ``log`` and ``mean`` are not called by the
+package; the tracer still wraps them by name.
 
 Graphs are implicit: every op returns a new :class:`Tensor` holding its
 parents and a closure that routes the upstream gradient to them, so the
@@ -46,6 +58,11 @@ __all__ = [
     "max_pool_points",
     "gradients",
 ]
+
+
+# Elements of one chunk of max_pool_points' activation (8 MB): 1024 points
+# of the widest PointNet layer, or 16384 points of a 64-wide one.
+_POOL_CHUNK = 1 << 20
 
 
 class ShapeError(ValueError):
@@ -406,30 +423,63 @@ def transposed_conv2d(x, k) -> Tensor:
     return _make(out_data, (x, k), "transposed_conv2d", bw)
 
 
-def max_pool_points(features) -> Tensor:
-    """Column-wise max over the point axis (axis -2).
+def max_pool_points(x, w, b) -> Tensor:
+    """The last pointwise layer and the max over points, as one node.
 
-    (n_pts, f) -> (f); a leading batch axis is carried through:
-    (b, n_pts, f) -> (b, f).  The subgradient routes to the first
-    attaining point per column (lowest index), which makes backward
-    deterministic under ties.
+    ``x`` is (n_pts, k) or (batch, n_pts, k), ``w`` a (k, f) matrix and
+    ``b`` an (f,) bias; the result, (f,) or (batch, f), is
+    ``max(x @ w + b, 0)`` maximised over the point axis.  The points are
+    multiplied in chunks of at most ``_POOL_CHUNK`` outputs, keeping a running
+    maximum and the first point that attains it, so the (batch, n_pts, f)
+    activation is never built.  Each output column depends only on that
+    point (PointNet's critical point), so backward gathers the weight
+    gradient from, and scatters the input gradient to, one point per
+    column; ties go to the lowest index.  A NaN is taken as the maximum,
+    so it reaches the loss.
     """
-    a = _lift(features)
-    if a.data.ndim < 2 or a.data.shape[-2] < 1:
-        raise _bad_shapes("max_pool_points", a.shape)
-    # argmax over the strided point axis is slow; an equality mask against
-    # the max finds the same first attaining point.  The output is the max
-    # itself, so a NaN column still reaches the loss.
-    top = a.data.max(axis=-2, keepdims=True)
-    idx = np.argmax(a.data == top, axis=-2, keepdims=True)
-    out_data = top.squeeze(axis=-2)
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    _dense_shapes("max_pool_points", x, w, b)
+    if x.data.ndim > 3 or x.data.shape[-2] < 1:
+        raise _bad_shapes("max_pool_points", x.shape, w.shape, b.shape)
+    xs = x.data.reshape(-1, *x.data.shape[-2:])
+    nb, n, k = xs.shape
+    f = w.data.shape[1]
+    rows = max(1, _POOL_CHUNK // f)
+    objs, pts = max(1, rows // n), min(n, rows)
+    top = np.empty((nb, f))
+    idx = np.empty((nb, f), dtype=np.intp)
+    for o in range(0, nb, objs):
+        for s in range(0, n, pts):
+            chunk = xs[o:o + objs, s:s + pts]
+            g, p = chunk.shape[:2]
+            # (f, points) layout, so the max runs along contiguous memory.
+            z = (w.data.T @ chunk.reshape(-1, k).T).reshape(f, g, p)
+            first = np.argmax(z, axis=-1)
+            cm = np.take_along_axis(z, first[..., None], axis=-1)[..., 0].T
+            if s == 0:
+                top[o:o + g], idx[o:o + g] = cm, first.T
+            else:
+                # Only a strictly larger value moves the point: ties keep the earlier one.
+                np.copyto(idx[o:o + g], first.T + s, where=cm > top[o:o + g])
+                np.maximum(top[o:o + g], cm, out=top[o:o + g])
+    top += b.data
+    np.maximum(top, 0.0, out=top)
 
     def bw(g):
-        ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, idx, np.expand_dims(g, axis=-2), axis=-2)
-        _accum(a, ga)
+        gz = g.reshape(nb, f) * (top > 0.0)
+        _accum(b, gz.sum(axis=0))
+        if w.requires_grad:
+            critical = xs[np.arange(nb)[:, None], idx]
+            _accum(w, np.einsum("bfk,bf->kf", critical, gz))
+        if x.requires_grad:
+            # One bincount over flat element indices sums every column's
+            # share into its point, in column order.
+            flat = ((np.arange(nb)[:, None] * n + idx) * k)[..., None] + np.arange(k)
+            gx = np.bincount(flat.ravel(), weights=(gz[..., None] * w.data.T).ravel(),
+                             minlength=nb * n * k)
+            _accum(x, gx.reshape(x.data.shape))
 
-    return _make(out_data, (a,), "max_pool_points", bw)
+    return _make(top.reshape(x.data.shape[:-2] + (f,)), (x, w, b), "max_pool_points", bw)
 
 
 def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

@@ -3,7 +3,10 @@
 Every point passes independently through a shared MLP whose per-layer
 weights are the (1,1,w_in,w_out) kernels handed in by the factorization;
 a global max over the point axis pools each object into one feature
-vector, and a small per-task head maps it to class scores.
+vector, and a small per-task head maps it to class scores.  Each layer is
+one graph node: ``ad.relu`` for the hidden pointwise and head layers, and
+``ad.max_pool_points`` for the last pointwise layer together with the
+pool, which never builds that layer's (b, n_pts, w_last) activation.
 
 Points are canonically ordered (lexicographic sort) before the MLP:
 mathematically a no-op for this architecture, it guarantees the logits
@@ -60,9 +63,10 @@ def forward(batch: np.ndarray, kernels: Sequence[Tensor], biases: Sequence[Tenso
         if k.shape[:2] != (1, 1) or k.shape[2] != chain[i]:
             raise ShapeError(f"forward: layer {i + 1} kernel {k.shape} breaks width chain {chain}")
     x = ad.constant(np.stack([canonical_order(obj) for obj in batch]))
-    for k, b in zip(kernels, biases):
-        x = ad.relu(x, ad.reshape(k, (int(k.shape[2]), int(k.shape[3]))), b)
-    h = ad.max_pool_points(x)
+    ws = [ad.reshape(k, (int(k.shape[2]), int(k.shape[3]))) for k in kernels]
+    for w, b in zip(ws[:-1], biases[:-1]):
+        x = ad.relu(x, w, b)
+    h = ad.max_pool_points(x, ws[-1], biases[-1])
     for w, b in zip(head_weights[:-1], head_biases[:-1]):
         h = ad.relu(h, w, b)
     return ad.add(ad.matmul(h, head_weights[-1]), head_biases[-1])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,52 +89,135 @@ class TestTransposedConv2d:
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def pool_reference(x, w, b, g):
+    """max_pool_points and its gradients from the full activation block."""
+    z = x @ w + b
+    a = np.maximum(z, 0.0)
+    first = np.argmax(a, axis=-2)[..., None, :]
+    ga = np.zeros_like(a)
+    np.put_along_axis(ga, first, g[..., None, :], axis=-2)
+    ga *= z > 0.0
+    gw = x.reshape(-1, x.shape[-1]).T @ ga.reshape(-1, ga.shape[-1])
+    return a.max(axis=-2), ga @ w.T, gw, ga.reshape(-1, ga.shape[-1]).sum(axis=0)
+
+
+def chunk_points(points, f):
+    """Make max_pool_points multiply ``points`` rows of an f-wide layer at a time."""
+    return mock.patch.object(ad, "_POOL_CHUNK", points * f)
+
+
+def pool_grads(x, w, b, g):
+    x, w, b = ad.parameter(x), ad.parameter(w), ad.parameter(b)
+    out = ad.max_pool_points(x, w, b)
+    ad.sum_all(ad.mul(out, Tensor(g))).backward()
+    return out.data, x.grad, w.grad, b.grad
+
+
 class TestMaxPoolPoints:
+    """The last pointwise layer fused with the max over points."""
+
     def test_definition(self):
-        out = ad.max_pool_points(Tensor([[1.0, 5.0], [3.0, 2.0]]))
+        out = ad.max_pool_points(Tensor([[1.0, 5.0], [3.0, 2.0]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
         np.testing.assert_array_equal(out.data, [3.0, 5.0])
 
-    def test_single_point_identity(self):
-        out = ad.max_pool_points(Tensor([[4.0, -7.0]]))
-        np.testing.assert_array_equal(out.data, [4.0, -7.0])
+    def test_single_point_identity_after_activation(self):
+        out = ad.max_pool_points(Tensor([[4.0, -7.0]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        np.testing.assert_array_equal(out.data, [4.0, 0.0])
+
+    @pytest.mark.parametrize("shape", [(13, 3), (4, 13, 3), (5, 2, 3)])
+    @pytest.mark.parametrize("points", [1, 4, 13, 1000])
+    def test_matches_numpy_reference(self, shape, points):
+        # Point counts that are not a multiple of the chunk, and chunks that
+        # hold several objects; some columns tie, one is below zero everywhere.
+        rng = np.random.default_rng(21)
+        x = rng.integers(-2, 3, size=shape).astype(float) + rng.normal(size=shape) * (rng.random(shape) < 0.5)
+        w = rng.normal(size=(3, 6))
+        w[:, 1] = [1.0, 0.0, 0.0]
+        b = rng.normal(size=6)
+        b[4] = -50.0
+        g = rng.normal(size=shape[:-2] + (6,))
+        with chunk_points(points, 6):
+            got = pool_grads(x, w, b, g)
+        want = pool_reference(x, w, b, g)
+        assert np.all(got[0][..., 4] == 0.0) and np.all(got[3][4] == 0.0)
+        for a, r in zip(got, want):
+            assert a.shape == r.shape
+            assert np.max(np.abs(a - r)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 30), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
-    def test_permutation_invariance_bitwise(self, n, f, seed):
+    @given(st.integers(1, 30), st.integers(1, 8), st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+    def test_permutation_invariance_bitwise(self, n, f, points, seed):
+        # Small integers make every product exact, whatever the BLAS order.
         rng = np.random.default_rng(seed)
-        x = rnd(rng, n, f)
+        x = rng.integers(-4, 5, size=(n, 3)).astype(float)
+        w = rng.integers(-4, 5, size=(3, f)).astype(float)
+        b = rng.integers(-4, 5, size=f).astype(float)
         perm = rng.permutation(n)
-        a = ad.max_pool_points(Tensor(x)).data
-        b = ad.max_pool_points(Tensor(x[perm])).data
-        assert np.array_equal(a, b)
+        with chunk_points(points, f):
+            a = ad.max_pool_points(Tensor(x), Tensor(w), Tensor(b)).data
+            c = ad.max_pool_points(Tensor(x[perm]), Tensor(w), Tensor(b)).data
+        assert np.array_equal(a, c)
 
-    def test_tie_breaks_to_lowest_index(self):
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_tie_breaks_to_lowest_index(self, points):
         x = ad.parameter(np.array([[2.0, 1.0], [2.0, 3.0]]))
-        out = ad.max_pool_points(x)
-        loss = ad.sum_all(out)
-        loss.backward()
+        with chunk_points(points, 2):
+            ad.sum_all(ad.max_pool_points(x, Tensor(np.eye(2)), Tensor(np.zeros(2)))).backward()
         # column 0 ties at 2.0; the gradient must land on row 0
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
 
-    def test_batched_pooling(self):
-        rng = np.random.default_rng(4)
-        x = rnd(rng, 3, 5, 2)
-        out = ad.max_pool_points(Tensor(x))
-        np.testing.assert_array_equal(out.data, x.max(axis=1))
-
-    def test_nan_column_reaches_the_output(self):
-        out = ad.max_pool_points(Tensor([[1.0, np.nan], [3.0, 2.0]]))
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_nan_column_reaches_the_output(self, points):
+        out = ad.max_pool_points(Tensor([[1.0, 0.0], [3.0, 2.0]]), Tensor(np.eye(2)), Tensor([0.0, np.nan]))
         assert out.data[0] == 3.0 and np.isnan(out.data[1])
+        # A NaN point in the first chunk or in the last one.
+        with chunk_points(points, 1):
+            for row in (0, 2):
+                x = np.array([[1.0], [3.0], [0.5]])
+                x[row] = np.nan
+                out = ad.max_pool_points(Tensor(x), Tensor([[1.0]]), Tensor([0.0]))
+                assert np.isnan(out.data[0])
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
-    def test_gradient_lands_on_first_maximum(self, n, f, seed):
-        # Few distinct values, so columns tie often.
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_gradient_lands_on_first_maximum(self, n, f, points, seed):
+        # Few distinct values, so columns tie often; an all-zero column
+        # sits below the activation and gets no gradient.
         x = ad.parameter(np.random.default_rng(seed).integers(0, 3, size=(2, n, f)).astype(float))
-        ad.sum_all(ad.max_pool_points(x)).backward()
+        with chunk_points(points, f):
+            ad.sum_all(ad.max_pool_points(x, Tensor(np.eye(f)), Tensor(np.zeros(f)))).backward()
         want = np.zeros_like(x.data)
         np.put_along_axis(want, np.argmax(x.data, axis=1)[:, None], 1.0, axis=1)
+        want *= x.data.max(axis=1, keepdims=True) > 0
         np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 5, 3)])
+    def test_gradients_match_central_differences(self, shape):
+        rng = np.random.default_rng(23)
+        x = ad.parameter(None, rng, shape, std=1.0)
+        w = ad.parameter(None, rng, (3, 4), std=1.0)
+        b = ad.parameter(np.array([0.1, -0.2, 0.3, -50.0]))
+        target = Tensor(rnd(rng, *shape[:-2], 4))
+        params = [x, w, b]
+        # Differences of 1e-4 must not cross a kink: no near-tie, no live
+        # column near zero.
+        z = np.sort(x.data @ w.data + b.data, axis=-2)[..., :3]
+        assert np.min(z[..., -1, :] - z[..., -2, :]) > 0.05 and np.min(np.abs(z[..., -1, :])) > 0.05
+
+        def build():
+            return ad.sq_l2_diff(ad.max_pool_points(x, w, b), target)
+
+        with chunk_points(2, 4):
+            analytic = ad.gradients(build(), params)
+            numeric = oracles.central_differences(lambda: build().item(), params)
+        for a, n in zip(analytic, numeric):
+            assert oracles.grads_close(a, n, tol=1e-3)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="max_pool_points"):
+            ad.max_pool_points(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="max_pool_points"):
+            ad.max_pool_points(Tensor(np.zeros((2, 0, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
 
 
 class TestRelu:
@@ -364,7 +449,7 @@ class TestBackward:
         params = [w1, b1, w2, b2]
 
         def build():
-            pooled = ad.max_pool_points(ad.relu(Tensor(pts), w1, b1))
+            pooled = ad.max_pool_points(Tensor(pts), w1, b1)
             logits = ad.add(ad.matmul(ad.reshape(pooled, (1, 4)), w2), b2)
             probs = ad.softmax(logits, axis=-1)
             return ad.sq_l2_diff(probs, Tensor(target.reshape(1, 2)))

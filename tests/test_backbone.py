@@ -89,6 +89,22 @@ class TestForward:
         logits = bb.forward(rng.normal(size=(2, 6, 3)), kernels, biases, head_w, head_b).data
         assert np.all(np.isnan(logits))
 
+    def test_one_node_per_pointwise_layer_and_no_last_layer_block(self):
+        widths, b, n = (3, 8, 16, 32), 2, 50
+        rng = np.random.default_rng(12)
+        logits = bb.forward(rng.normal(size=(b, n, 3)), *micro_params(13, widths))
+        seen, stack = {}, [logits]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        ops = [node._op for node in seen.values()]
+        assert ops.count("relu") == 2 and ops.count("max_pool_points") == 1
+        # Only the head's output layer is a matmul and an add.
+        assert ops.count("matmul") == ops.count("add") == 1
+        assert max(node.size for node in seen.values()) < b * n * widths[-1]
+
     def test_width_chain_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         batch = rng.normal(size=(1, 4, 3))
