@@ -7,7 +7,9 @@ Subcommands:
   eval          recompute summary.csv from metrics.jsonl and verify it
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure,
-5 eval mismatch.
+5 eval mismatch.  A ShapeError exits 3 too: point files whose coordinate
+count differs between the train and test splits reach the model's width
+check as operands that do not fit.
 
 Config schema (JSON; every key optional unless noted, defaults shown; a
 supplied value must have its default's type):
@@ -44,6 +46,7 @@ import json
 import sys
 from pathlib import Path
 
+from .autodiff import ShapeError
 from .backbone import BackboneConfig
 from .datasets import (DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, load_task_from_dir,
                        make_split_plan, write_dataset_dir)
@@ -247,7 +250,7 @@ def cmd_eval(args) -> int:
     csv_path = run_dir / "summary.csv"
     if not jsonl_path.is_file() or not csv_path.is_file():
         raise DataError(f"run directory {run_dir} lacks metrics.jsonl/summary.csv")
-    log = parse_jsonl(jsonl_path.read_text(encoding="utf-8"))
+    log = parse_jsonl(jsonl_path.read_bytes())
     recomputed = summary_csv_bytes(summary_rows(log))
     if recomputed != csv_path.read_bytes():
         print(f"error: eval-mismatch: summary.csv does not match metrics.jsonl in {run_dir}",
@@ -307,7 +310,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
+    except (DataError, ShapeError) as e:
         print(f"error: data: {e}", file=sys.stderr)
         return 3
     except NumericError as e:

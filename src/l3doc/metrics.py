@@ -130,23 +130,56 @@ def jsonl_lines(log: RunLog) -> list[str]:
     return lines
 
 
-def parse_jsonl(text: str) -> RunLog:
+# Per record kind: its type and each field's JSON key and type, in the
+# type's argument order.
+_RECORDS = {
+    "epoch": (EpochRecord, {"task": int, "epoch": int, "loss": float, "test_acc": float,
+                            "wall_ms": float, "steps": int}),
+    "boundary": (BoundaryRecord, {"after_task": int, "task": int, "test_acc": float}),
+}
+
+
+def _field(rec: dict, key: str, kind: type, where: str):
+    value = rec[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            (kind is int and not isinstance(value, int)):
+        raise DataError(f"{where}: {key} must be {'an integer' if kind is int else 'a number'}, "
+                        f"got {value!r:.40}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise DataError(f"{where}: {key} out of range") from None
+
+
+def parse_jsonl(data: str | bytes) -> RunLog:
+    """Read metrics.jsonl text or bytes.  A line that is not UTF-8, not a
+    JSON object, of no known kind, or short of a field of the right type
+    raises DataError naming the line."""
     log = RunLog()
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(data.splitlines(), start=1):
+        where = f"metrics.jsonl line {i}"
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{where}: not UTF-8 text") from None
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError:
-            raise DataError(f"metrics.jsonl line {i}: not valid JSON") from None
+        except (json.JSONDecodeError, RecursionError):
+            raise DataError(f"{where}: not valid JSON") from None
+        if not isinstance(rec, dict):
+            raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
         kind = rec.get("kind")
-        if kind == "epoch":
-            log.epochs.append(EpochRecord(rec["task"], rec["epoch"], rec["loss"],
-                                          rec["test_acc"], rec["wall_ms"], rec["steps"]))
-        elif kind == "boundary":
-            log.boundaries.append(BoundaryRecord(rec["after_task"], rec["task"], rec["test_acc"]))
-        else:
-            raise DataError(f"metrics.jsonl line {i}: unknown record kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _RECORDS:
+            raise DataError(f"{where}: unknown record kind {kind!r:.40}")
+        record, fields = _RECORDS[kind]
+        missing = [key for key in fields if key not in rec]
+        if missing:
+            raise DataError(f"{where}: {kind} record lacks {missing}")
+        values = [_field(rec, key, t, where) for key, t in fields.items()]
+        (log.epochs if kind == "epoch" else log.boundaries).append(record(*values))
     return log
 
 
@@ -157,6 +190,8 @@ def summary_rows(log: RunLog) -> list[dict]:
         trace = log.trace(t)
         at_boundary = log.boundary_accuracies(t)
         seen = sorted(at_boundary)
+        if not peaks.keys() >= set(seen):
+            raise DataError(f"boundary after task {t}: a seen task has no boundary of its own")
         rows.append({
             "task": t,
             "ppa": ppa(trace),

@@ -11,10 +11,29 @@ from hypothesis import strategies as st
 from l3doc import cli
 from l3doc.datasets import DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, write_dataset_dir
 from l3doc.errors import ConfigError, DataError
-from l3doc.metrics import parse_jsonl
+from l3doc.metrics import parse_jsonl, summary_csv_bytes, summary_rows
 from l3doc.trainer import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
+
+_JSON_VALUES = st.one_of(st.integers(-2, 3), st.integers(10 ** 300, 10 ** 400), st.floats(), st.booleans(),
+                         st.none(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2))
+_IDS, _ACC = st.integers(1, 3), st.floats(0, 1)
+# Well-formed records, which may still make an inconsistent run.
+JSONL_RECORDS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("epoch"), "task": _IDS, "epoch": _IDS, "loss": _ACC,
+                           "test_acc": _ACC, "wall_ms": _ACC, "steps": _IDS}),
+    st.fixed_dictionaries({"kind": st.just("boundary"), "after_task": _IDS, "task": _IDS, "test_acc": _ACC}),
+).map(json.dumps)
+JSONL_LINES = st.one_of(
+    JSONL_RECORDS,
+    st.fixed_dictionaries({}, optional={
+        "kind": st.one_of(st.sampled_from(["epoch", "boundary", "other"]), _JSON_VALUES),
+        **{key: st.one_of(_IDS, _ACC, _JSON_VALUES)
+           for key in ("task", "epoch", "loss", "test_acc", "wall_ms", "steps", "after_task")}}
+    ).map(json.dumps),
+    _JSON_VALUES.map(json.dumps),
+    st.text(max_size=12))
 
 
 def write_config(tmp_path, **extra):
@@ -360,8 +379,51 @@ class TestEval:
     def test_empty_dir_exits_3(self, tmp_path):
         assert cli.main(["eval", "--run", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("line, message", [
+        (b"\xff\xfe", "line 2: not UTF-8"),
+        (b'{"kind": "epoch"}', "line 2: epoch record lacks"),
+        (b"[1]", "line 2: expected a JSON object"),
+        (b'{"kind": "boundary", "after_task": 1, "task": "1", "test_acc": 0.5}', "line 2: task must be an integer"),
+    ])
+    def test_malformed_jsonl_exits_3_naming_the_line(self, tmp_path, capsys, line, message):
+        good = b'{"after_task":1,"kind":"boundary","task":1,"test_acc":0.5}'
+        (tmp_path / "metrics.jsonl").write_bytes(good + b"\n" + line + b"\n")
+        (tmp_path / "summary.csv").write_bytes(b"")
+        assert cli.main(["eval", "--run", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(),
+                     st.lists(JSONL_RECORDS, max_size=8).map(lambda ls: "\n".join(ls).encode()),
+                     st.lists(JSONL_LINES, max_size=6).map(lambda ls: "\n".join(ls).encode()),
+                     st.tuples(st.lists(JSONL_LINES, min_size=1, max_size=4), st.binary(max_size=3))
+                     .map(lambda t: "\n".join(t[0]).encode() + t[1])))
+    def test_any_metrics_jsonl_summarizes_or_raises_data_error(self, data):
+        try:
+            summary_csv_bytes(summary_rows(parse_jsonl(data)))
+        except DataError:
+            pass
+
 
 class TestDirectoryDataset:
+    def test_test_split_of_another_point_dimension_exits_3(self, tmp_path, capsys):
+        # Training checks its own split against the backbone; the 4-D test
+        # clouds used to reach the model's width check as a ShapeError traceback.
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-synth", "--classes", "sphere,cube", "--per-class", "3",
+                         "--points", "8", "--out", str(data_dir)]) == 0
+        for path in data_dir.glob("*/test/*.pts"):
+            head, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([head.replace(" 3", " 4")] + [r + " 0.5" for r in rows]) + "\n")
+        cfg = {"schema_version": 1, "epochs": 1, "spec": {"n_hat": 4, "l_hat": 4, "s": 2},
+               "backbone": {"widths": [3, 8, 8], "head_widths": [8]},
+               "dataset": {"type": "directory", "root": str(data_dir), "tasks": [["cube", "sphere"]],
+                           "points": 8}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "error: data" in capsys.readouterr().err
+
     def test_run_from_generated_directory(self, tmp_path):
         data_dir = tmp_path / "data"
         assert cli.main(["gen-synth", "--classes", "sphere,cube", "--per-class", "5",
