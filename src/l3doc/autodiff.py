@@ -429,9 +429,9 @@ def max_pool_points(x, w, b) -> Tensor:
     ``x`` is (n_pts, k) or (batch, n_pts, k), ``w`` a (k, f) matrix and
     ``b`` an (f,) bias; the result, (f,) or (batch, f), is
     ``max(x @ w + b, 0)`` maximised over the point axis.  The points are
-    multiplied in chunks of at most ``_POOL_CHUNK`` outputs, keeping a running
-    maximum and the first point that attains it, so the (batch, n_pts, f)
-    activation is never built.  Each output column depends only on that
+    multiplied in chunks of at most ``_POOL_CHUNK`` activations, keeping a
+    running maximum and the first point that attains it, so the
+    (batch, n_pts, f) activation is never built.  Each output column depends only on that
     point (PointNet's critical point), so backward gathers the weight
     gradient from, and scatters the input gradient to, one point per
     column; ties go to the lowest index.  A NaN is taken as the maximum,
@@ -451,17 +451,18 @@ def max_pool_points(x, w, b) -> Tensor:
     for o in range(0, nb, objs):
         for s in range(0, n, pts):
             chunk = xs[o:o + objs, s:s + pts]
-            g, p = chunk.shape[:2]
+            n_obj, n_pt = chunk.shape[:2]
             # (f, points) layout, so the max runs along contiguous memory.
-            z = (w.data.T @ chunk.reshape(-1, k).T).reshape(f, g, p)
+            z = (w.data.T @ chunk.reshape(-1, k).T).reshape(f, n_obj, n_pt)
             first = np.argmax(z, axis=-1)
             cm = np.take_along_axis(z, first[..., None], axis=-1)[..., 0].T
+            span = slice(o, o + n_obj)
             if s == 0:
-                top[o:o + g], idx[o:o + g] = cm, first.T
+                top[span], idx[span] = cm, first.T
             else:
                 # Only a strictly larger value moves the point: ties keep the earlier one.
-                np.copyto(idx[o:o + g], first.T + s, where=cm > top[o:o + g])
-                np.maximum(top[o:o + g], cm, out=top[o:o + g])
+                np.copyto(idx[span], first.T + s, where=cm > top[span])
+                np.maximum(top[span], cm, out=top[span])
     top += b.data
     np.maximum(top, 0.0, out=top)
 

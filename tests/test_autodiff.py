@@ -130,12 +130,14 @@ class TestMaxPoolPoints:
         # Point counts that are not a multiple of the chunk, and chunks that
         # hold several objects; some columns tie, one is below zero everywhere.
         rng = np.random.default_rng(21)
-        x = rng.integers(-2, 3, size=shape).astype(float) + rng.normal(size=shape) * (rng.random(shape) < 0.5)
+        x = rng.normal(size=shape)
+        x[..., 0] = rng.integers(0, 3, size=shape[:-1])
         w = rng.normal(size=(3, 6))
-        w[:, 1] = [1.0, 0.0, 0.0]
+        w[:, 1] = [1.0, 0.0, 0.0]  # column 1 ties wherever x[..., 0] does
         b = rng.normal(size=6)
-        b[4] = -50.0
+        b[1], b[4] = 0.5, -50.0
         g = rng.normal(size=shape[:-2] + (6,))
+        assert np.any(np.sum(x[..., 0] == x[..., 0].max(axis=-1, keepdims=True), axis=-1) > 1)
         with chunk_points(points, 6):
             got = pool_grads(x, w, b, g)
         want = pool_reference(x, w, b, g)
