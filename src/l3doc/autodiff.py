@@ -446,8 +446,8 @@ def max_pool_points(x, w, b) -> Tensor:
     f = w.data.shape[1]
     rows = max(1, _POOL_CHUNK // f)
     objs, pts = max(1, rows // n), min(n, rows)
-    top = np.empty((nb, f))
-    idx = np.empty((nb, f), dtype=np.intp)
+    top = np.full((nb, f), -np.inf)
+    idx = np.zeros((nb, f), dtype=np.intp)
     for o in range(0, nb, objs):
         for s in range(0, n, pts):
             chunk = xs[o:o + objs, s:s + pts]
@@ -457,12 +457,9 @@ def max_pool_points(x, w, b) -> Tensor:
             first = np.argmax(z, axis=-1)
             cm = np.take_along_axis(z, first[..., None], axis=-1)[..., 0].T
             span = slice(o, o + n_obj)
-            if s == 0:
-                top[span], idx[span] = cm, first.T
-            else:
-                # Only a strictly larger value moves the point: ties keep the earlier one.
-                np.copyto(idx[span], first.T + s, where=cm > top[span])
-                np.maximum(top[span], cm, out=top[span])
+            # Only a strictly larger value moves the point: ties keep the earlier one.
+            np.copyto(idx[span], first.T + s, where=cm > top[span])
+            np.maximum(top[span], cm, out=top[span])
     top += b.data
     np.maximum(top, 0.0, out=top)
 

@@ -92,7 +92,9 @@ class TestForward:
     def test_one_node_per_pointwise_layer_and_no_last_layer_block(self):
         widths, b, n = (3, 8, 16, 32), 2, 50
         rng = np.random.default_rng(12)
-        logits = bb.forward(rng.normal(size=(b, n, 3)), *micro_params(13, widths))
+        # Trainable leaves, so the graph keeps its parents.
+        params = [[ad.parameter(t.data) for t in group] for group in micro_params(13, widths)]
+        logits = bb.forward(rng.normal(size=(b, n, 3)), *params)
         seen, stack = {}, [logits]
         while stack:
             node = stack.pop()
