@@ -431,11 +431,11 @@ def max_pool_points(x, w, b) -> Tensor:
     ``max(x @ w + b, 0)`` maximised over the point axis.  The points are
     multiplied in chunks of at most ``_POOL_CHUNK`` activations, keeping a
     running maximum and the first point that attains it, so the
-    (batch, n_pts, f) activation is never built.  Each output column depends only on that
-    point (PointNet's critical point), so backward gathers the weight
-    gradient from, and scatters the input gradient to, one point per
-    column; ties go to the lowest index.  A NaN is taken as the maximum,
-    so it reaches the loss.
+    (batch, n_pts, f) activation is never built.  Each output column
+    depends only on that point (PointNet's critical point), so backward
+    gathers the weight gradient from, and scatters the input gradient to,
+    one point per column; ties go to the lowest index.  A NaN is taken as
+    the maximum, so it reaches the loss.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     _dense_shapes("max_pool_points", x, w, b)

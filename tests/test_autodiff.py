@@ -233,7 +233,8 @@ class TestRelu:
         assert np.all(ad.relu(Tensor(-a), eye, zero).data == 0.0)
         mixed = rnd(rng, 20)
         want = np.array([[max(0.0, x)] for x in mixed])
-        np.testing.assert_array_equal(ad.relu(Tensor(mixed[:, None]), Tensor([[1.0]]), Tensor([0.0])).data, want)
+        got = ad.relu(Tensor(mixed[:, None]), Tensor([[1.0]]), Tensor([0.0])).data
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(7, 3), (2, 5, 3)])
     def test_matches_numpy_reference(self, shape):

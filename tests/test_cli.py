@@ -383,7 +383,8 @@ class TestEval:
         (b"\xff\xfe", "line 2: not UTF-8"),
         (b'{"kind": "epoch"}', "line 2: epoch record lacks"),
         (b"[1]", "line 2: expected a JSON object"),
-        (b'{"kind": "boundary", "after_task": 1, "task": "1", "test_acc": 0.5}', "line 2: task must be an integer"),
+        (b'{"kind": "boundary", "after_task": 1, "task": "1", "test_acc": 0.5}',
+         "line 2: task must be an integer"),
     ])
     def test_malformed_jsonl_exits_3_naming_the_line(self, tmp_path, capsys, line, message):
         good = b'{"after_task":1,"kind":"boundary","task":1,"test_acc":0.5}'
