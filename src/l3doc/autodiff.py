@@ -23,11 +23,14 @@ tracer (bench/tracing.py) wraps ops by name, so every node the package
 builds stays traced.  ``mul``, ``log`` and ``mean`` are not called by the
 package; the tracer still wraps them by name.
 
-Graphs are implicit: every op returns a new :class:`Tensor` holding its
-parents and a closure that routes the upstream gradient to them, so the
-DAG is acyclic by construction.  Tensors built into a graph are treated
-as immutable; leaves created with ``requires_grad=True`` are the
-trainable parameters.
+Graphs are implicit: every op returns a new :class:`Tensor`.  When an
+operand needs gradient, the result holds its parents and a closure that
+routes the upstream gradient to them, so the DAG is acyclic by
+construction; a result over constants only holds neither, so evaluation
+keeps no activation alive past the op that reads it.  Tensors built into
+a graph, and the gradient arrays backward hands out, are treated as
+immutable; leaves created with ``requires_grad=True`` are the trainable
+parameters.
 """
 
 from __future__ import annotations
@@ -144,11 +147,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backward=None) -> Tensor:
+    # A node no gradient flows through keeps no parents, so a graph over
+    # constants frees each operand once nothing else holds it.
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    out._parents = parents
     out._op = op
-    if out.requires_grad:
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
         out._backward = backward
     return out
 
@@ -162,10 +167,8 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         return
     if g.shape != t.data.shape:
         raise _bad_shapes("gradient", g.shape, t.data.shape)
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    # Never in place: the first gradient may be an array another node holds.
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

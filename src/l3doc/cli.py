@@ -4,12 +4,14 @@ Subcommands:
   run           execute a task sequence from a JSON config, export metrics
   count-params  parameter accounting for the three model families
   gen-synth     write a synthetic PTS dataset in the directory layout
-  eval          recompute summary.csv from metrics.jsonl and verify it
+  eval          recompute summary.csv from metrics.jsonl, verify it, and
+                print the run fingerprint (a digest of every deterministic
+                field of metrics.jsonl)
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure,
-5 eval mismatch.  A ShapeError exits 3 too: point files whose coordinate
-count differs between the train and test splits reach the model's width
-check as operands that do not fit.
+5 eval mismatch.  A ShapeError (operands that do not fit the model) exits
+3 too, as a data error; point clouds of different shapes within one task
+are rejected as a data error when the task is built, before any output.
 
 Config schema (JSON; every key optional unless noted, defaults shown; a
 supplied value must have its default's type):
@@ -257,6 +259,7 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return 5
     print(f"summary.csv verified against metrics.jsonl in {run_dir}")
+    print(f"fingerprint {log.fingerprint()}")
     return 0
 
 

@@ -61,6 +61,9 @@ class TaskDataset:
         for _, label in [*self.train, *self.test]:
             if not 0 <= label < c:
                 raise DataError(f"task {self.task_id}: label {label} outside [0, {c})")
+        shapes = {cloud.points.shape for cloud, _ in [*self.train, *self.test]}
+        if len(shapes) != 1:
+            raise DataError(f"task {self.task_id}: point clouds disagree on shape: {sorted(shapes)}")
 
     @property
     def n_classes(self) -> int:

@@ -105,32 +105,21 @@ class FactorSpec:
 
 
 class KnowledgeBase:
-    """Per-layer shared knowledge tensors plus the previous task's frozen copy.
+    """Per-layer shared knowledge tensors plus the previous task's frozen copy."""
 
-    ``snapshot`` reads are counted so baseline modes can prove they never
-    touch cross-task state.
-    """
-
-    def __init__(self, spec: FactorSpec, layers: Sequence[Tensor]):
-        self.spec = spec
+    def __init__(self, layers: Sequence[Tensor]):
         self.layers = list(layers)
-        self._snapshot = [np.array(t.data, copy=True) for t in self.layers]
-        self.snapshot_reads = 0
-
-    @property
-    def snapshot(self) -> list[np.ndarray]:
-        self.snapshot_reads += 1
-        return self._snapshot
+        self.take_snapshot()
 
     def take_snapshot(self) -> None:
-        self._snapshot = [np.array(t.data, copy=True) for t in self.layers]
+        self.snapshot = [np.array(t.data, copy=True) for t in self.layers]
 
 
 def init_knowledge_base(spec: FactorSpec, seed) -> KnowledgeBase:
     rng = np.random.default_rng(seed)
     layers = [ad.parameter(None, rng, spec.knowledge_shape(l), std=INIT_STD)
               for l in range(spec.num_layers)]
-    return KnowledgeBase(spec, layers)
+    return KnowledgeBase(layers)
 
 
 @dataclass

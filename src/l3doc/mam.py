@@ -43,18 +43,13 @@ class AttentionScores:
     k_weights: np.ndarray
     c_weights: np.ndarray
 
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(float(k), float(c)) for k, c in zip(self.k_weights, self.c_weights)]
-
 
 def knowledge_gap_loss(kb: KnowledgeBase) -> Tensor:
     """Sum over layers of the squared distance to the frozen snapshot.
 
     Differentiable w.r.t. the live knowledge tensors only.
     """
-    frozen = kb.snapshot
-    gaps = [ad.sq_l2_diff(ad.constant(prev), live) for prev, live in zip(frozen, kb.layers)]
+    gaps = [ad.sq_l2_diff(ad.constant(prev), live) for prev, live in zip(kb.snapshot, kb.layers)]
     return ad.sum_all(ad.stack_scalars(gaps))
 
 
@@ -102,6 +97,6 @@ def total_loss(lc: Tensor, kb: KnowledgeBase, current: TaskFactors,
     total = ad.add(lc, ad.scale(knowledge_gap_loss(kb), cfg.lambda_l))
     scores = pinned_scores if pinned_scores is not None else attention_scores(
         [float(k.data) for k, _ in gaps], [float(c.data) for _, c in gaps], len(kb.layers))
-    for (k_gap, c_gap), (wk, wc) in zip(gaps, scores.pairs):
+    for (k_gap, c_gap), wk, wc in zip(gaps, scores.k_weights, scores.c_weights):
         total = ad.add(total, ad.add(ad.scale(k_gap, wk), ad.scale(c_gap, wc)))
     return total

@@ -19,7 +19,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -116,27 +116,23 @@ def sc(trace: Sequence[float]) -> int:
 
 # ------------------------------------------------------------------ export
 
-def jsonl_lines(log: RunLog) -> list[str]:
-    lines = []
-    for r in log.epochs:
-        lines.append(json.dumps({"kind": "epoch", "task": r.task_id, "epoch": r.epoch,
-                                 "loss": r.train_loss, "test_acc": r.test_acc,
-                                 "wall_ms": r.wall_ms, "steps": r.steps},
-                                sort_keys=True, separators=(",", ":")))
-    for b in log.boundaries:
-        lines.append(json.dumps({"kind": "boundary", "after_task": b.after_task,
-                                 "task": b.task_id, "test_acc": b.test_acc},
-                                sort_keys=True, separators=(",", ":")))
-    return lines
-
-
 # Per record kind: its type and each field's JSON key and type, in the
-# type's argument order.
+# type's argument order.  Writer and parser both read it.
 _RECORDS = {
     "epoch": (EpochRecord, {"task": int, "epoch": int, "loss": float, "test_acc": float,
                             "wall_ms": float, "steps": int}),
     "boundary": (BoundaryRecord, {"after_task": int, "task": int, "test_acc": float}),
 }
+
+
+def jsonl_lines(log: RunLog) -> list[str]:
+    lines = []
+    for kind, records in (("epoch", log.epochs), ("boundary", log.boundaries)):
+        keys = _RECORDS[kind][1]
+        for r in records:
+            lines.append(json.dumps({"kind": kind, **dict(zip(keys, astuple(r)))},
+                                    sort_keys=True, separators=(",", ":")))
+    return lines
 
 
 def _field(rec: dict, key: str, kind: type, where: str):

@@ -6,14 +6,17 @@ always redrawn, class counts may differ).  Every optimizer step rebuilds
 the pointwise kernels from the live knowledge base, runs the backbone,
 and minimizes either the plain classification loss (first task, and
 always in the baseline modes) or the attention-weighted total.  After a
-task finishes, its factors are frozen into the archive, the knowledge
-base is snapshotted for the next task's gap penalty, and every seen task
-is re-evaluated under the *current* knowledge base with its archived
-factors; that re-evaluation is where forgetting shows up.
+task finishes, its factors are frozen into an ``ArchivedTask`` appended
+to the archive (a plain list), the knowledge base is snapshotted for the
+next task's gap penalty, and every seen task is re-evaluated under the
+*current* knowledge base with its archived factors; that re-evaluation is
+where forgetting shows up.
 
 Modes: "l3doc" (full method), "finetune" (shared state, no regularizers),
 "stl" (fresh knowledge base and factors per task; its archive entries
 carry their own frozen base, so old tasks cannot degrade by construction).
+Only "l3doc" training reads cross-task state: the archive and the
+snapshot reach the loss through ``mam.total_loss`` alone.
 """
 
 from __future__ import annotations
@@ -116,35 +119,13 @@ class ArchivedTask:
         return h.hexdigest()
 
 
-def _frozen(tensors) -> tuple[np.ndarray, ...]:
+def _frozen(tensors: Sequence[Tensor]) -> tuple[np.ndarray, ...]:
     out = []
     for t in tensors:
-        arr = np.array(t.data if isinstance(t, Tensor) else t, copy=True)
+        arr = np.array(t.data, copy=True)
         arr.flags.writeable = False
         out.append(arr)
     return tuple(out)
-
-
-class TaskArchive:
-    """Append-only store of finished tasks; regularizer reads are counted
-    so baseline modes can prove they never consult it during training."""
-
-    def __init__(self):
-        self._entries: list[ArchivedTask] = []
-        self.regularizer_reads = 0
-
-    def append(self, entry: ArchivedTask) -> None:
-        self._entries.append(entry)
-
-    def entries(self) -> list[ArchivedTask]:
-        return list(self._entries)
-
-    def for_regularization(self) -> list[ArchivedTask]:
-        self.regularizer_reads += 1
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def archive_task(task_id: int, factors: TaskFactors, dataset: TaskDataset,
@@ -163,9 +144,6 @@ def archive_task(task_id: int, factors: TaskFactors, dataset: TaskDataset,
 
 
 def _stack_split(pairs) -> tuple[np.ndarray, np.ndarray]:
-    n_pts = {cloud.points.shape for cloud, _ in pairs}
-    if len(n_pts) != 1:
-        raise DataError(f"objects disagree on point-cloud shape: {sorted(n_pts)}")
     batch = np.stack([cloud.points for cloud, _ in pairs])
     labels = np.array([label for _, label in pairs], dtype=np.int64)
     return batch, labels
@@ -195,19 +173,19 @@ def evaluate_task(dataset: TaskDataset, kb: KnowledgeBase, factors: TaskFactors)
     return _eval_accuracy(dataset.test, kb.layers, factors)
 
 
-def evaluate_archive(kb: KnowledgeBase, archive: TaskArchive) -> dict[int, float]:
+def evaluate_archive(kb: KnowledgeBase, archive: Sequence[ArchivedTask]) -> dict[int, float]:
     """Accuracy of every archived task: its frozen factors and head applied
     to the live knowledge base (or its own frozen base, for independent
     per-task entries)."""
     accuracies = {}
-    for entry in archive.entries():
+    for entry in archive:
         layers = entry.kb_layers if entry.kb_layers is not None else kb.layers
         accuracies[entry.task_id] = _eval_accuracy(entry.dataset.test, layers, entry)
     return accuracies
 
 
 def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
-               archive: TaskArchive, cfg: ExperimentConfig,
+               archive: Sequence[ArchivedTask], cfg: ExperimentConfig,
                prev_factors: TaskFactors | None = None) -> tuple[TaskFactors, list[EpochRecord]]:
     """One task's optimization loop; mutates kb in place and returns the
     trained factors plus per-epoch records."""
@@ -236,7 +214,7 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
             targets = one_hot(train_labels[idx], dataset.n_classes)
             lc = classification_loss(logits, targets)
             if cfg.mode == "l3doc":
-                total = mam_mod.total_loss(lc, kb, factors, archive.for_regularization(), cfg.mam)
+                total = mam_mod.total_loss(lc, kb, factors, archive, cfg.mam)
             else:
                 total = lc
             if not np.isfinite(total.data):
@@ -255,11 +233,11 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
     return factors, records
 
 
-def run_sequence(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> tuple[TaskArchive, RunLog]:
+def run_sequence(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> tuple[list[ArchivedTask], RunLog]:
     """Train the whole sequence, archiving and re-evaluating after each task."""
     if not tasks:
         raise DataError("run_sequence: no tasks")
-    archive = TaskArchive()
+    archive: list[ArchivedTask] = []
     log = RunLog()
     kb = init_knowledge_base(cfg.spec, seed=[cfg.seed, 0, 0])
     prev_factors: TaskFactors | None = None

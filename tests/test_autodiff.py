@@ -440,6 +440,18 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(x.grad, [5.0], atol=1e-15)
 
+    def test_shared_first_gradient_is_not_written_by_later_contributions(self):
+        # add hands one upstream array to both operands; a's second use
+        # must not reach b's gradient through it.
+        a = ad.parameter(np.array([1.0, 2.0]))
+        b = ad.parameter(np.array([3.0, 4.0]))
+        s = ad.add(a, b)
+        loss = ad.sum_all(ad.add(s, ad.scale(a, 5.0)))
+        ga, gb = ad.gradients(loss, [a, b])
+        np.testing.assert_array_equal(gb, [1.0, 1.0])
+        np.testing.assert_array_equal(ga, [6.0, 6.0])
+        np.testing.assert_array_equal(s.grad, [1.0, 1.0])
+
     def test_micro_network_matches_finite_differences(self):
         # two points through widths [3, 4], pooled, densely mapped to 2 classes
         rng = np.random.default_rng(17)

@@ -107,6 +107,13 @@ class TestForward:
         assert ops.count("matmul") == ops.count("add") == 1
         assert max(node.size for node in seen.values()) < b * n * widths[-1]
 
+    def test_forward_over_constants_keeps_no_graph(self):
+        # Evaluation graphs are all constants: no node holds its operands,
+        # so each activation is freed once the next layer is built.
+        rng = np.random.default_rng(14)
+        logits = bb.forward(rng.normal(size=(2, 20, 3)), *micro_params(15, (3, 8, 16)))
+        assert logits._parents == () and logits._backward is None and not logits.requires_grad
+
     def test_width_chain_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         batch = rng.normal(size=(1, 4, 3))

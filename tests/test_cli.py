@@ -369,6 +369,13 @@ class TestEval:
         out = self._run(tmp_path)
         assert cli.main(["eval", "--run", str(out)]) == 0
 
+    def test_prints_the_run_fingerprint(self, tmp_path, capsys):
+        out = self._run(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["eval", "--run", str(out)]) == 0
+        want = parse_jsonl((out / "metrics.jsonl").read_bytes()).fingerprint()
+        assert f"fingerprint {want}" in capsys.readouterr().out.splitlines()
+
     def test_tampered_jsonl_exits_5(self, tmp_path, capsys):
         out = self._run(tmp_path)
         jsonl = out / "metrics.jsonl"
@@ -408,8 +415,8 @@ class TestEval:
 
 class TestDirectoryDataset:
     def test_test_split_of_another_point_dimension_exits_3(self, tmp_path, capsys):
-        # Training checks its own split against the backbone; the 4-D test
-        # clouds used to reach the model's width check as a ShapeError traceback.
+        # The 4-D test clouds used to reach the model's width check as a
+        # ShapeError after a whole epoch; the task now rejects them on load.
         data_dir = tmp_path / "data"
         assert cli.main(["gen-synth", "--classes", "sphere,cube", "--per-class", "3",
                          "--points", "8", "--out", str(data_dir)]) == 0
@@ -423,7 +430,8 @@ class TestDirectoryDataset:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert "error: data" in capsys.readouterr().err
+        assert "point clouds disagree on shape" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_from_generated_directory(self, tmp_path):
         data_dir = tmp_path / "data"

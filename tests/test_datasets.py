@@ -229,6 +229,16 @@ class TestSplitPlan:
         assert all(type(name) is str for task in plan.tasks for name in task)
 
 
+class TestTaskDataset:
+    @pytest.mark.parametrize("train_shape, test_shape", [((8, 3), (8, 4)), ((8, 3), (6, 3)),
+                                                         ((5, 3), (8, 3))])
+    def test_clouds_of_another_shape_rejected(self, train_shape, test_shape):
+        train = [(ds.PointCloud(np.zeros((8, 3))), 0), (ds.PointCloud(np.zeros(train_shape)), 1)]
+        test = [(ds.PointCloud(np.zeros(test_shape)), 0)]
+        with pytest.raises(DataError, match=r"task 7: point clouds disagree on shape"):
+            ds.TaskDataset(7, ("a", "b"), train, test)
+
+
 class TestSynthetic:
     def test_noiseless_sphere_radius(self):
         data = ds.gen_synthetic(["sphere"], per_class=4, n_pts=64, noise_sigma=0.0, seed=0)

@@ -181,7 +181,7 @@ class TestInitialization:
         kb = fz.init_knowledge_base(spec, seed=0)
         assert kb.layers[0].shape == (4, 3, 2)
         assert kb.layers[4].shape == (64, 128, 32)
-        assert [t.shape for t in kb._snapshot] == [t.shape for t in kb.layers]
+        assert [t.shape for t in kb.snapshot] == [t.shape for t in kb.layers]
 
     def test_seed_determinism(self):
         spec = micro_spec()

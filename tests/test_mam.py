@@ -31,7 +31,7 @@ class TestKnowledgeGap:
 
     def test_all_ones_diff_of_2x2x2(self):
         kb = fz.init_knowledge_base(fz.FactorSpec(widths=(2, 2), n_hat=1, l_hat=1, s=1), seed=0)
-        kb.layers[0].data = kb._snapshot[0] + 1.0
+        kb.layers[0].data = kb.snapshot[0] + 1.0
         assert mam.knowledge_gap_loss(kb).item() == 8.0
 
     def test_matches_loop_oracle(self):
@@ -40,7 +40,7 @@ class TestKnowledgeGap:
         for t in kb.layers:
             t.data = t.data + rng.normal(size=t.shape)
         want = sum(oracles.sq_l2_diff_loops(prev, live.data)
-                   for prev, live in zip(kb._snapshot, kb.layers))
+                   for prev, live in zip(kb.snapshot, kb.layers))
         assert abs(mam.knowledge_gap_loss(kb).item() - want) <= 1e-12
 
     def test_differentiable_wrt_live_only(self):
@@ -48,7 +48,7 @@ class TestKnowledgeGap:
         kb.layers[0].data = kb.layers[0].data + 0.5
         loss = mam.knowledge_gap_loss(kb)
         (g,) = ad.gradients(loss, [kb.layers[0]])
-        np.testing.assert_allclose(g, 2 * (kb.layers[0].data - kb._snapshot[0]), atol=1e-13)
+        np.testing.assert_allclose(g, 2 * (kb.layers[0].data - kb.snapshot[0]), atol=1e-13)
 
 
 class TestFactorGaps:
@@ -129,7 +129,7 @@ class TestTotalLoss:
     def test_three_task_hand_weighted_sum(self):
         spec = micro_spec((3, 8))
         kb = fz.init_knowledge_base(spec, seed=12)
-        kb.layers[0].data = kb._snapshot[0].copy()
+        kb.layers[0].data = kb.snapshot[0].copy()
         kb.layers[0].data.flat[0] += 0.5  # knowledge gap = 0.25
         cur = fz.init_or_inherit_factors(None, spec, (8, 2), seed=13, task_id=3)
         past1, past2 = frozen_copy(cur), frozen_copy(cur)

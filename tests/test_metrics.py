@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -120,6 +121,14 @@ class TestExport:
         second = mx.export(log, tmp_path / "b")
         assert first["csv"].read_bytes() == second["csv"].read_bytes()
         assert first["jsonl"].read_bytes() == second["jsonl"].read_bytes()
+
+    def test_every_kind_written_with_exactly_its_keys(self):
+        log = tiny_log()
+        written = {}
+        for line in mx.jsonl_lines(log):
+            rec = json.loads(line)
+            written.setdefault(rec.pop("kind"), set()).add(frozenset(rec))
+        assert written == {kind: {frozenset(keys)} for kind, (_, keys) in mx._RECORDS.items()}
 
     def test_jsonl_round_trip_reproduces_summary(self, tmp_path):
         log = tiny_log()

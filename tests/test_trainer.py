@@ -4,6 +4,7 @@ import pytest
 import l3doc.autodiff as ad
 from l3doc.autodiff import Tensor
 from l3doc import datasets as ds
+from l3doc import mam
 from l3doc import trainer as tr
 from l3doc.backbone import BackboneConfig
 from l3doc.errors import ConfigError, DataError, NumericError
@@ -68,7 +69,7 @@ class TestTrainTask:
         cfg = tiny_cfg(epochs=1, batch_size=64)
         task = tiny_tasks(1)[0]
         kb = tr.init_knowledge_base(cfg.spec, seed=0)
-        _, records = tr.train_task(1, task, kb, tr.TaskArchive(), cfg)
+        _, records = tr.train_task(1, task, kb, [], cfg)
         assert len(records) == 1
         assert records[0].steps == 1
 
@@ -76,7 +77,7 @@ class TestTrainTask:
         cfg = tiny_cfg(epochs=1, batch_size=3)
         task = tiny_tasks(1, per_class=5)[0]  # 8 train objects -> ceil(8/3) = 3
         kb = tr.init_knowledge_base(cfg.spec, seed=0)
-        _, records = tr.train_task(1, task, kb, tr.TaskArchive(), cfg)
+        _, records = tr.train_task(1, task, kb, [], cfg)
         assert records[0].steps == 3
 
     def test_zero_learning_rate_freezes_everything(self):
@@ -84,7 +85,7 @@ class TestTrainTask:
         task = tiny_tasks(1)[0]
         kb = tr.init_knowledge_base(cfg.spec, seed=0)
         before = [t.data.copy() for t in kb.layers]
-        factors, _ = tr.train_task(1, task, kb, tr.TaskArchive(), cfg)
+        factors, _ = tr.train_task(1, task, kb, [], cfg)
         for a, t in zip(before, kb.layers):
             assert np.array_equal(a, t.data)
 
@@ -93,7 +94,7 @@ class TestTrainTask:
         task = ds.gen_synthetic(("sphere", "cube"), per_class=20, n_pts=32, noise_sigma=0.02,
                                 seed=5, task_id=1)
         kb = tr.init_knowledge_base(cfg.spec, seed=1)
-        _, records = tr.train_task(1, task, kb, tr.TaskArchive(), cfg)
+        _, records = tr.train_task(1, task, kb, [], cfg)
         assert records[-1].train_loss < records[0].train_loss
 
     def test_point_dim_mismatch_rejected(self):
@@ -103,7 +104,7 @@ class TestTrainTask:
                              [(ds.PointCloud(np.zeros((4, 2))), 0)])
         kb = tr.init_knowledge_base(cfg.spec, seed=0)
         with pytest.raises(DataError):
-            tr.train_task(1, bad, kb, tr.TaskArchive(), cfg)
+            tr.train_task(1, bad, kb, [], cfg)
 
     def test_non_finite_parameter_after_last_step_raises(self, monkeypatch):
         def nan_step(params, grads, state, lr):
@@ -113,7 +114,7 @@ class TestTrainTask:
         cfg = tiny_cfg(epochs=1, batch_size=64)
         kb = tr.init_knowledge_base(cfg.spec, seed=0)
         with pytest.raises(NumericError, match="non-finite parameter after task 1 epoch 1"):
-            tr.train_task(1, tiny_tasks(1)[0], kb, tr.TaskArchive(), cfg)
+            tr.train_task(1, tiny_tasks(1)[0], kb, [], cfg)
 
     def test_nan_activation_reaches_the_loss_check(self):
         # A NaN hidden pre-activation used to be zeroed by the activation,
@@ -123,7 +124,7 @@ class TestTrainTask:
         prev = tr.init_or_inherit_factors(None, cfg.spec, cfg.backbone.head_dims(2), seed=0, task_id=1)
         prev.biases[0].data[0] = np.nan
         with pytest.raises(NumericError, match="non-finite loss nan at task 2 epoch 1 step 1"):
-            tr.train_task(2, tiny_tasks(1)[0], kb, tr.TaskArchive(), cfg, prev)
+            tr.train_task(2, tiny_tasks(1)[0], kb, [], cfg, prev)
 
 
 class TestRunSequence:
@@ -132,7 +133,7 @@ class TestRunSequence:
         tasks = tiny_tasks(1)
         archive, log = tr.run_sequence(cfg, tasks)
         kb2 = tr.init_knowledge_base(cfg.spec, seed=[cfg.seed, 0, 0])
-        _, records = tr.train_task(1, tasks[0], kb2, tr.TaskArchive(), cfg)
+        _, records = tr.train_task(1, tasks[0], kb2, [], cfg)
         assert [r.test_acc for r in log.epochs] == [r.test_acc for r in records]
         assert [r.train_loss for r in log.epochs] == [r.train_loss for r in records]
 
@@ -141,13 +142,13 @@ class TestRunSequence:
         a_archive, a_log = tr.run_sequence(cfg, tiny_tasks(2))
         b_archive, b_log = tr.run_sequence(cfg, tiny_tasks(2))
         assert a_log.fingerprint() == b_log.fingerprint()
-        for ea, eb in zip(a_archive.entries(), b_archive.entries()):
+        for ea, eb in zip(a_archive, b_archive):
             assert ea.content_hash() == eb.content_hash()
 
     def test_archive_immutable_across_subsequent_tasks(self):
         cfg = tiny_cfg(epochs=2)
         tasks = tiny_tasks(3)
-        archive = tr.TaskArchive()
+        archive = []
         log_hashes = []
         kb = tr.init_knowledge_base(cfg.spec, seed=[cfg.seed, 0, 0])
         prev = None
@@ -156,7 +157,7 @@ class TestRunSequence:
             peak = tr.evaluate_task(task, kb, factors)
             archive.append(tr.archive_task(tid, factors, task, peak))
             kb.take_snapshot()
-            log_hashes.append([e.content_hash() for e in archive.entries()])
+            log_hashes.append([e.content_hash() for e in archive])
             prev = factors
         assert log_hashes[0][0] == log_hashes[1][0] == log_hashes[2][0]
         assert log_hashes[1][1] == log_hashes[2][1]
@@ -164,38 +165,43 @@ class TestRunSequence:
     def test_archived_arrays_refuse_writes(self):
         cfg = tiny_cfg(epochs=1)
         archive, _ = tr.run_sequence(cfg, tiny_tasks(1))
-        entry = archive.entries()[0]
+        entry = archive[0]
         with pytest.raises(ValueError):
             entry.kernels[0][0, 0, 0, 0] = 99.0
 
-    def test_stl_never_reads_snapshot_or_archive(self):
-        cfg = tiny_cfg(mode="stl", epochs=2)
-        tasks = tiny_tasks(2)
-        archive = tr.TaskArchive()
-        kb = tr.init_knowledge_base(cfg.spec, seed=0)
-        for tid, task in enumerate(tasks, start=1):
-            kb = tr.init_knowledge_base(cfg.spec, seed=tid)
-            factors, _ = tr.train_task(tid, task, kb, archive, cfg)
-            archive.append(tr.archive_task(tid, factors, task, 1.0, kb=kb))
-        assert kb.snapshot_reads == 0
-        assert archive.regularizer_reads == 0
+    @pytest.mark.parametrize("mode", ["stl", "finetune", "l3doc"])
+    def test_only_l3doc_reads_snapshot_or_archive(self, mode, monkeypatch):
+        # knowledge_gap_loss is the only reader of the snapshot, and the
+        # archive reaches training only through total_loss.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("cross-task state read")
+
+        monkeypatch.setattr(mam, "total_loss", refuse)
+        monkeypatch.setattr(mam, "knowledge_gap_loss", refuse)
+        cfg = tiny_cfg(mode=mode, epochs=2)
+        if mode == "l3doc":
+            with pytest.raises(RuntimeError, match="cross-task state read"):
+                tr.run_sequence(cfg, tiny_tasks(2))
+        else:
+            archive, log = tr.run_sequence(cfg, tiny_tasks(2))
+            assert len(archive) == 2 and len(log.boundaries) == 3
 
     def test_stl_archive_entries_carry_their_own_base(self):
         cfg = tiny_cfg(mode="stl", epochs=1)
         archive, _ = tr.run_sequence(cfg, tiny_tasks(2))
-        for entry in archive.entries():
+        for entry in archive:
             assert entry.kb_layers is not None
 
     def test_l3doc_archive_entries_use_live_base(self):
         cfg = tiny_cfg(mode="l3doc", epochs=1)
         archive, _ = tr.run_sequence(cfg, tiny_tasks(2))
-        for entry in archive.entries():
+        for entry in archive:
             assert entry.kb_layers is None
 
     def test_boundary_entry_for_fresh_task_equals_peak(self):
         cfg = tiny_cfg(epochs=2)
         archive, log = tr.run_sequence(cfg, tiny_tasks(2))
-        for entry in archive.entries():
+        for entry in archive:
             at_own = log.boundary_accuracies(entry.task_id)[entry.task_id]
             assert at_own == entry.peak_accuracy
 
@@ -249,7 +255,7 @@ class TestEvaluateArchive:
     def test_empty_archive_empty_result(self):
         cfg = tiny_cfg()
         kb = tr.init_knowledge_base(cfg.spec, seed=0)
-        assert tr.evaluate_archive(kb, tr.TaskArchive()) == {}
+        assert tr.evaluate_archive(kb, []) == {}
 
     def test_unchanged_base_reproduces_end_of_task_accuracy(self):
         cfg = tiny_cfg(epochs=2)
@@ -257,9 +263,9 @@ class TestEvaluateArchive:
         archive, log = tr.run_sequence(cfg, tasks)
         kb = tr.init_knowledge_base(cfg.spec, seed=[cfg.seed, 0, 0])
         # rebuild the same knowledge base state by rerunning the task
-        _, _ = tr.train_task(1, tasks[0], kb, tr.TaskArchive(), cfg)
+        _, _ = tr.train_task(1, tasks[0], kb, [], cfg)
         accs = tr.evaluate_archive(kb, archive)
-        assert accs[1] == archive.entries()[0].peak_accuracy
+        assert accs[1] == archive[0].peak_accuracy
 
 
 class TestGradientFlow:
@@ -268,7 +274,7 @@ class TestGradientFlow:
         task = tiny_tasks(1)[0]
         kb = tr.init_knowledge_base(cfg.spec, seed=4)
         before_l = [t.data.copy() for t in kb.layers]
-        factors, _ = tr.train_task(1, task, kb, tr.TaskArchive(), cfg)
+        factors, _ = tr.train_task(1, task, kb, [], cfg)
         assert any(not np.array_equal(a, t.data) for a, t in zip(before_l, kb.layers))
         # rerun from the same init to capture the pre-step values
         factors2 = tr.init_or_inherit_factors(None, cfg.spec, cfg.backbone.head_dims(2),
