@@ -116,20 +116,20 @@ def sc(trace: Sequence[float]) -> int:
 
 # ------------------------------------------------------------------ export
 
-# Per record kind: its type and each field's JSON key and type, in the
-# type's argument order.  Writer and parser both read it.
+# Per record kind, in writing order: its type, the RunLog list holding it,
+# and each field's JSON key and type, in the type's argument order.  Writer
+# and parser both read it.
 _RECORDS = {
-    "epoch": (EpochRecord, {"task": int, "epoch": int, "loss": float, "test_acc": float,
-                            "wall_ms": float, "steps": int}),
-    "boundary": (BoundaryRecord, {"after_task": int, "task": int, "test_acc": float}),
+    "epoch": (EpochRecord, "epochs", {"task": int, "epoch": int, "loss": float,
+                                      "test_acc": float, "wall_ms": float, "steps": int}),
+    "boundary": (BoundaryRecord, "boundaries", {"after_task": int, "task": int, "test_acc": float}),
 }
 
 
 def jsonl_lines(log: RunLog) -> list[str]:
     lines = []
-    for kind, records in (("epoch", log.epochs), ("boundary", log.boundaries)):
-        keys = _RECORDS[kind][1]
-        for r in records:
+    for kind, (_, records, keys) in _RECORDS.items():
+        for r in getattr(log, records):
             lines.append(json.dumps({"kind": kind, **dict(zip(keys, astuple(r)))},
                                     sort_keys=True, separators=(",", ":")))
     return lines
@@ -170,12 +170,12 @@ def parse_jsonl(data: str | bytes) -> RunLog:
         kind = rec.get("kind")
         if not isinstance(kind, str) or kind not in _RECORDS:
             raise DataError(f"{where}: unknown record kind {kind!r:.40}")
-        record, fields = _RECORDS[kind]
+        record, records, fields = _RECORDS[kind]
         missing = [key for key in fields if key not in rec]
         if missing:
             raise DataError(f"{where}: {kind} record lacks {missing}")
         values = [_field(rec, key, t, where) for key, t in fields.items()]
-        (log.epochs if kind == "epoch" else log.boundaries).append(record(*values))
+        getattr(log, records).append(record(*values))
     return log
 
 

@@ -128,7 +128,7 @@ class TestExport:
         for line in mx.jsonl_lines(log):
             rec = json.loads(line)
             written.setdefault(rec.pop("kind"), set()).add(frozenset(rec))
-        assert written == {kind: {frozenset(keys)} for kind, (_, keys) in mx._RECORDS.items()}
+        assert written == {kind: {frozenset(keys)} for kind, (_, _, keys) in mx._RECORDS.items()}
 
     def test_jsonl_round_trip_reproduces_summary(self, tmp_path):
         log = tiny_log()
