@@ -6,16 +6,18 @@ classifier composes its graphs from:
 - ``relu(x, w, b)``: one whole pointwise layer, ``max(x @ w + b, 0)``, as a
   single node (pointwise layers 1 to L-1 and the head's hidden layers);
 - ``max_pool_points(x, w, b)``: the last pointwise layer fused with the
-  max over the point axis.  It multiplies the points chunk by chunk and
-  keeps, per output column, the running maximum and the first point that
+  max over the point axis.  It multiplies a few whole objects at a time
+  and keeps, per output column, the maximum and the first point that
   attains it (PointNet's critical point), so the (batch, n_pts, w_last)
-  activation is never built and backward touches one point per column;
+  activation is never built at once and backward touches one point per
+  column;
 - general algebra (``matmul``/``add``/``scale``, ``reshape``, ``sum_all``,
   ``stack_scalars``), numerically stable ``softmax`` and squared-L2
   penalties;
 - the two kernel-reconstruction primitives (channel contraction and
   stride-1 transposed convolution, which reconstruction applies to an
-  s-row grid of contracted knowledge rows).
+  s-row grid of contracted knowledge rows; it computes only the cropped
+  output, never the padded scatter buffer).
 
 Both fused ops let NaN through, so a NaN activation reaches the loss check.
 They keep the names of the unary ops they replace because the benchmark's
@@ -63,8 +65,9 @@ __all__ = [
 ]
 
 
-# Elements of one chunk of max_pool_points' activation (8 MB): 1024 points
-# of the widest PointNet layer, or 16384 points of a 64-wide one.
+# Activations max_pool_points multiplies at once (8 MB): as many whole
+# objects as fit, and never less than one object, whatever its size (one
+# 1024-point object of the widest PointNet layer fills it).
 _POOL_CHUNK = 1 << 20
 
 
@@ -390,8 +393,10 @@ def transposed_conv2d(x, k) -> Tensor:
     """Stride-1 transposed convolution, cropped back to the input grid.
 
     ``x`` is an (H, W, c_in) grid, ``k`` an (s, s, c_out, c_in) kernel.
-    The full (H+s-1, W+s-1, c_out) scatter-add is formed and the top-left
-    (H, W) block returned:
+    Only the top-left (H, W) block of the full (H+s-1, W+s-1, c_out)
+    scatter-add is computed: tap (dy, dx) multiplies ``x[:H-dy, :W-dx]``
+    and adds into ``out[dy:, dx:]``, and taps with dy >= H or dx >= W
+    reach no output (their kernel gradient is zero):
 
         out[y, x, o] = sum_{dy,dx,i} x[y-dy, x-dx, i] * k[dy, dx, o, i]
     """
@@ -402,24 +407,19 @@ def transposed_conv2d(x, k) -> Tensor:
     s0, s1, c_out, kc_in = k.data.shape
     if h < 1 or w < 1 or s0 < 1 or s0 != s1 or kc_in != c_in:
         raise _bad_shapes("transposed_conv2d", x.shape, k.shape)
-    s = s0
-    full = np.zeros((h + s - 1, w + s - 1, c_out))
-    flat = x.data.reshape(-1, c_in)
-    for dy in range(s):
-        for dx in range(s):
-            full[dy:dy + h, dx:dx + w] += (flat @ k.data[dy, dx].T).reshape(h, w, c_out)
-    out_data = full[:h, :w].copy()
+    taps = [(dy, dx) for dy in range(min(s0, h)) for dx in range(min(s0, w))]
+    out_data = np.zeros((h, w, c_out))
+    for dy, dx in taps:
+        win = x.data[:h - dy, :w - dx].reshape(-1, c_in)
+        out_data[dy:, dx:] += (win @ k.data[dy, dx].T).reshape(h - dy, w - dx, c_out)
 
     def bw(g):
-        gfull = np.zeros((h + s - 1, w + s - 1, c_out))
-        gfull[:h, :w] = g
         gx = np.zeros_like(x.data)
         gk = np.zeros_like(k.data)
-        for dy in range(s):
-            for dx in range(s):
-                gwin = gfull[dy:dy + h, dx:dx + w].reshape(-1, c_out)
-                gx += (gwin @ k.data[dy, dx]).reshape(h, w, c_in)
-                gk[dy, dx] = gwin.T @ flat
+        for dy, dx in taps:
+            gwin = g[dy:, dx:].reshape(-1, c_out)
+            gx[:h - dy, :w - dx] += (gwin @ k.data[dy, dx]).reshape(h - dy, w - dx, c_in)
+            gk[dy, dx] = gwin.T @ x.data[:h - dy, :w - dx].reshape(-1, c_in)
         _accum(x, gx)
         _accum(k, gk)
 
@@ -431,10 +431,11 @@ def max_pool_points(x, w, b) -> Tensor:
 
     ``x`` is (n_pts, k) or (batch, n_pts, k), ``w`` a (k, f) matrix and
     ``b`` an (f,) bias; the result, (f,) or (batch, f), is
-    ``max(x @ w + b, 0)`` maximised over the point axis.  The points are
-    multiplied in chunks of at most ``_POOL_CHUNK`` activations, keeping a
-    running maximum and the first point that attains it, so the
-    (batch, n_pts, f) activation is never built.  Each output column
+    ``max(x @ w + b, 0)`` maximised over the point axis.  Whole objects
+    are multiplied in chunks of at most ``_POOL_CHUNK`` activations (one
+    object if it alone is larger), keeping each column's maximum and the
+    first point that attains it, so the (batch, n_pts, f) activation is
+    never built for more than one chunk.  Each output column
     depends only on that point (PointNet's critical point), so backward
     gathers the weight gradient from, and scatters the input gradient to,
     one point per column; ties go to the lowest index.  A NaN is taken as
@@ -447,22 +448,16 @@ def max_pool_points(x, w, b) -> Tensor:
     xs = x.data.reshape(-1, *x.data.shape[-2:])
     nb, n, k = xs.shape
     f = w.data.shape[1]
-    rows = max(1, _POOL_CHUNK // f)
-    objs, pts = max(1, rows // n), min(n, rows)
-    top = np.full((nb, f), -np.inf)
-    idx = np.zeros((nb, f), dtype=np.intp)
+    objs = max(1, _POOL_CHUNK // (n * f))
+    top = np.empty((nb, f))
+    idx = np.empty((nb, f), dtype=np.intp)
     for o in range(0, nb, objs):
-        for s in range(0, n, pts):
-            chunk = xs[o:o + objs, s:s + pts]
-            n_obj, n_pt = chunk.shape[:2]
-            # (f, points) layout, so the max runs along contiguous memory.
-            z = (w.data.T @ chunk.reshape(-1, k).T).reshape(f, n_obj, n_pt)
-            first = np.argmax(z, axis=-1)
-            cm = np.take_along_axis(z, first[..., None], axis=-1)[..., 0].T
-            span = slice(o, o + n_obj)
-            # Only a strictly larger value moves the point: ties keep the earlier one.
-            np.copyto(idx[span], first.T + s, where=cm > top[span])
-            np.maximum(top[span], cm, out=top[span])
+        span = slice(o, o + objs)
+        # (f, objects, points) layout, so the max runs along contiguous memory.
+        z = (w.data.T @ xs[span].reshape(-1, k).T).reshape(f, -1, n)
+        first = np.argmax(z, axis=-1)
+        idx[span] = first.T
+        top[span] = np.take_along_axis(z, first[..., None], axis=-1)[..., 0].T
     top += b.data
     np.maximum(top, 0.0, out=top)
 

@@ -88,6 +88,29 @@ class TestTransposedConv2d:
         want = oracles.transposed_conv2d_scatter(x, k)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+           st.integers(-1, 2), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+    def test_gradients_match_central_differences(self, h, w, ci, extra, co, seed):
+        # Mostly kernels wider than the grid both ways: their taps with
+        # dy >= h or dx >= w reach no output and get exactly zero gradient.
+        s = max(1, max(h, w) + extra)
+        rng = np.random.default_rng(seed)
+        x = ad.parameter(rnd(rng, h, w, ci))
+        k = ad.parameter(rnd(rng, s, s, co, ci))
+        target = Tensor(rnd(rng, h, w, co))
+        params = [x, k]
+
+        def build():
+            return ad.sq_l2_diff(ad.transposed_conv2d(x, k), target)
+
+        analytic = ad.gradients(build(), params)
+        numeric = oracles.central_differences(lambda: build().item(), params)
+        for a, n in zip(analytic, numeric):
+            assert oracles.grads_close(a, n, tol=1e-3)
+        gk = analytic[1]
+        assert np.all(gk[h:] == 0.0) and np.all(gk[:, w:] == 0.0)
+
 
 def pool_reference(x, w, b, g):
     """max_pool_points and its gradients from the full activation block."""
@@ -101,9 +124,10 @@ def pool_reference(x, w, b, g):
     return a.max(axis=-2), ga @ w.T, gw, ga.reshape(-1, ga.shape[-1]).sum(axis=0)
 
 
-def chunk_points(points, f):
-    """Make max_pool_points multiply ``points`` rows of an f-wide layer at a time."""
-    return mock.patch.object(ad, "_POOL_CHUNK", points * f)
+def chunk_objects(objs, n, f):
+    """Make max_pool_points multiply ``objs`` objects of ``n`` points of an
+    f-wide layer at a time."""
+    return mock.patch.object(ad, "_POOL_CHUNK", objs * n * f)
 
 
 def pool_grads(x, w, b, g):
@@ -111,6 +135,11 @@ def pool_grads(x, w, b, g):
     out = ad.max_pool_points(x, w, b)
     ad.sum_all(ad.mul(out, Tensor(g))).backward()
     return out.data, x.grad, w.grad, b.grad
+
+
+# One, two (the last chunk holds a single object) and all of five objects
+# per chunk.
+CHUNK_OBJECTS = [1, 2, 5]
 
 
 class TestMaxPoolPoints:
@@ -124,11 +153,10 @@ class TestMaxPoolPoints:
         out = ad.max_pool_points(Tensor([[4.0, -7.0]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
         np.testing.assert_array_equal(out.data, [4.0, 0.0])
 
-    @pytest.mark.parametrize("shape", [(13, 3), (4, 13, 3), (5, 2, 3)])
-    @pytest.mark.parametrize("points", [1, 4, 13, 1000])
-    def test_matches_numpy_reference(self, shape, points):
-        # Point counts that are not a multiple of the chunk, and chunks that
-        # hold several objects; some columns tie, one is below zero everywhere.
+    @pytest.mark.parametrize("shape", [(13, 3), (5, 13, 3), (5, 2, 3)])
+    @pytest.mark.parametrize("objs", CHUNK_OBJECTS)
+    def test_matches_numpy_reference(self, shape, objs):
+        # Some columns tie, one is below zero everywhere.
         rng = np.random.default_rng(21)
         x = rng.normal(size=shape)
         x[..., 0] = rng.integers(0, 3, size=shape[:-1])
@@ -138,7 +166,7 @@ class TestMaxPoolPoints:
         b[1], b[4] = 0.5, -50.0
         g = rng.normal(size=shape[:-2] + (6,))
         assert np.any(np.sum(x[..., 0] == x[..., 0].max(axis=-1, keepdims=True), axis=-1) > 1)
-        with chunk_points(points, 6):
+        with chunk_objects(objs, shape[-2], 6):
             got = pool_grads(x, w, b, g)
         want = pool_reference(x, w, b, g)
         assert np.all(got[0][..., 4] == 0.0) and np.all(got[3][4] == 0.0)
@@ -146,54 +174,66 @@ class TestMaxPoolPoints:
             assert a.shape == r.shape
             assert np.max(np.abs(a - r)) <= 1e-12
 
+    def test_object_larger_than_a_chunk_is_multiplied_whole(self):
+        rng = np.random.default_rng(22)
+        x, w, b, g = rng.normal(size=(3, 7, 2)), rng.normal(size=(2, 4)), rng.normal(size=4), rng.normal(size=(3, 4))
+        with mock.patch.object(ad, "_POOL_CHUNK", 1):
+            got = pool_grads(x, w, b, g)
+        for a, r in zip(got, pool_reference(x, w, b, g)):
+            assert np.max(np.abs(a - r)) <= 1e-12
+
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 30), st.integers(1, 8), st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
-    def test_permutation_invariance_bitwise(self, n, f, points, seed):
+    @given(st.integers(1, 30), st.integers(1, 8), st.sampled_from(CHUNK_OBJECTS),
+           st.integers(0, 2 ** 32 - 1))
+    def test_permutation_invariance_bitwise(self, n, f, objs, seed):
         # Small integers make every product exact, whatever the BLAS order.
         rng = np.random.default_rng(seed)
-        x = rng.integers(-4, 5, size=(n, 3)).astype(float)
+        x = rng.integers(-4, 5, size=(5, n, 3)).astype(float)
         w = rng.integers(-4, 5, size=(3, f)).astype(float)
         b = rng.integers(-4, 5, size=f).astype(float)
         perm = rng.permutation(n)
-        with chunk_points(points, f):
+        with chunk_objects(objs, n, f):
             a = ad.max_pool_points(Tensor(x), Tensor(w), Tensor(b)).data
-            c = ad.max_pool_points(Tensor(x[perm]), Tensor(w), Tensor(b)).data
+            c = ad.max_pool_points(Tensor(x[:, perm]), Tensor(w), Tensor(b)).data
         assert np.array_equal(a, c)
 
-    @pytest.mark.parametrize("points", [1, 2])
-    def test_tie_breaks_to_lowest_index(self, points):
-        x = ad.parameter(np.array([[2.0, 1.0], [2.0, 3.0]]))
-        with chunk_points(points, 2):
+    @pytest.mark.parametrize("objs", CHUNK_OBJECTS)
+    def test_tie_breaks_to_lowest_index(self, objs):
+        # Every object's column 0 ties at 2.0; its gradient must land on row 0.
+        x = ad.parameter(np.tile([[2.0, 1.0], [2.0, 3.0]], (5, 1, 1)))
+        with chunk_objects(objs, 2, 2):
             ad.sum_all(ad.max_pool_points(x, Tensor(np.eye(2)), Tensor(np.zeros(2)))).backward()
-        # column 0 ties at 2.0; the gradient must land on row 0
-        np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(x.grad, np.tile([[1.0, 0.0], [0.0, 1.0]], (5, 1, 1)))
 
-    @pytest.mark.parametrize("points", [1, 3])
-    def test_nan_column_reaches_the_output(self, points):
+    @pytest.mark.parametrize("objs", CHUNK_OBJECTS)
+    @pytest.mark.parametrize("obj", [0, 4])
+    def test_nan_reaches_the_output(self, objs, obj):
         out = ad.max_pool_points(Tensor([[1.0, 0.0], [3.0, 2.0]]), Tensor(np.eye(2)), Tensor([0.0, np.nan]))
         assert out.data[0] == 3.0 and np.isnan(out.data[1])
-        # A NaN point in the first chunk or in the last one.
-        with chunk_points(points, 1):
+        # A NaN point in the first object's chunk or in the last one.
+        with chunk_objects(objs, 3, 1):
             for row in (0, 2):
-                x = np.array([[1.0], [3.0], [0.5]])
-                x[row] = np.nan
-                out = ad.max_pool_points(Tensor(x), Tensor([[1.0]]), Tensor([0.0]))
-                assert np.isnan(out.data[0])
+                x = np.tile([[1.0], [3.0], [0.5]], (5, 1, 1))
+                x[obj, row] = np.nan
+                out = ad.max_pool_points(Tensor(x), Tensor([[1.0]]), Tensor([0.0])).data
+                assert np.isnan(out[obj, 0])
+                np.testing.assert_array_equal(np.delete(out, obj, axis=0), 3.0)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
-    def test_gradient_lands_on_first_maximum(self, n, f, points, seed):
+    @given(st.integers(1, 12), st.integers(1, 5), st.sampled_from(CHUNK_OBJECTS),
+           st.integers(0, 2 ** 32 - 1))
+    def test_gradient_lands_on_first_maximum(self, n, f, objs, seed):
         # Few distinct values, so columns tie often; an all-zero column
         # sits below the activation and gets no gradient.
-        x = ad.parameter(np.random.default_rng(seed).integers(0, 3, size=(2, n, f)).astype(float))
-        with chunk_points(points, f):
+        x = ad.parameter(np.random.default_rng(seed).integers(0, 3, size=(5, n, f)).astype(float))
+        with chunk_objects(objs, n, f):
             ad.sum_all(ad.max_pool_points(x, Tensor(np.eye(f)), Tensor(np.zeros(f)))).backward()
         want = np.zeros_like(x.data)
         np.put_along_axis(want, np.argmax(x.data, axis=1)[:, None], 1.0, axis=1)
         want *= x.data.max(axis=1, keepdims=True) > 0
         np.testing.assert_array_equal(x.grad, want)
 
-    @pytest.mark.parametrize("shape", [(6, 3), (2, 5, 3)])
+    @pytest.mark.parametrize("shape", [(6, 3), (5, 4, 3)])
     def test_gradients_match_central_differences(self, shape):
         rng = np.random.default_rng(23)
         x = ad.parameter(None, rng, shape, std=1.0)
@@ -209,7 +249,7 @@ class TestMaxPoolPoints:
         def build():
             return ad.sq_l2_diff(ad.max_pool_points(x, w, b), target)
 
-        with chunk_points(2, 4):
+        with chunk_objects(2, shape[-2], 4):
             analytic = ad.gradients(build(), params)
             numeric = oracles.central_differences(lambda: build().item(), params)
         for a, n in zip(analytic, numeric):
