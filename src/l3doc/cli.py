@@ -9,9 +9,12 @@ Subcommands:
                 field of metrics.jsonl)
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure,
-5 eval mismatch.  A ShapeError (operands that do not fit the model) exits
-3 too, as a data error; point clouds of different shapes within one task
-are rejected as a data error when the task is built, before any output.
+5 eval mismatch.  A config file that is not UTF-8 and an output path that
+cannot be written (--out or out_dir, gen-synth --out) are config errors.
+A ShapeError (operands that do not fit the model) exits 3 too, as a data
+error; point clouds of different shapes within one task, a point file
+that cannot be read and a task whose point dimension is not the
+backbone's input width are rejected as data errors before any task trains.
 
 Config schema (JSON; every key optional unless noted, defaults shown; a
 supplied value must have its default's type):
@@ -42,6 +45,7 @@ resolved-config.json lists the other keys with their defaults):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -185,12 +189,24 @@ def build_tasks(resolved: dict) -> list:
             for i, classes in enumerate(plans)]
 
 
+@contextlib.contextmanager
+def _writing(where: Path):
+    """Report an OS error while writing under ``where`` as a config error:
+    the output path comes from the config or the command line."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {e.filename or where}: {e.strerror or e}") from None
+
+
 def cmd_run(args) -> int:
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not UTF-8: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     resolved = resolve_config(raw, {"seed": args.seed, "mode": args.mode, "out_dir": args.out})
@@ -199,11 +215,13 @@ def cmd_run(args) -> int:
     cfg = experiment_from_resolved(resolved)
     tasks = build_tasks(resolved)
     out_dir = Path(resolved["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved-config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "resolved-config.json").write_text(
+            json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _, log = run_sequence(cfg, tasks)
-    paths = export(log, out_dir)
+    with _writing(out_dir):
+        paths = export(log, out_dir)
     print(f"run complete: {len(tasks)} task(s), outputs in {out_dir}")
     for name in ("jsonl", "csv"):
         print(f"  wrote {paths[name]}")
@@ -241,7 +259,8 @@ def cmd_count_params(args) -> int:
 def cmd_gen_synth(args) -> int:
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     data = gen_synthetic(classes, args.per_class, args.points, args.noise, seed=args.seed)
-    files = write_dataset_dir(Path(args.out), data)
+    with _writing(Path(args.out)):
+        files = write_dataset_dir(Path(args.out), data)
     print(f"wrote {len(files)} PTS files under {args.out}")
     return 0
 

@@ -432,16 +432,19 @@ def write_dataset_dir(root: Path, dataset: TaskDataset) -> list[Path]:
 
 
 def _load_cloud(path: Path, n_pts: int, seed) -> PointCloud:
-    if path.suffix == ".pts":
-        pts = read_pts(path)
-    elif path.suffix == ".off":
-        try:
-            mesh = parse_off(path.read_bytes())
-        except DataError as e:
-            raise DataError(f"{path}: {e}") from None
-        pts = sample_mesh(mesh, max(4 * n_pts, n_pts), seed).points
-    else:
-        raise DataError(f"{path}: unsupported extension (want .pts or .off)")
+    try:
+        if path.suffix == ".pts":
+            pts = read_pts(path)
+        elif path.suffix == ".off":
+            try:
+                mesh = parse_off(path.read_bytes())
+            except DataError as e:
+                raise DataError(f"{path}: {e}") from None
+            pts = sample_mesh(mesh, max(4 * n_pts, n_pts), seed).points
+        else:
+            raise DataError(f"{path}: unsupported extension (want .pts or .off)")
+    except OSError as e:  # a directory or an unreadable entry named like a point file
+        raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
     if pts.shape[0] < n_pts:
         raise DataError(f"{path}: {pts.shape[0]} points < requested {n_pts}")
     if pts.shape[0] > n_pts:

@@ -57,6 +57,17 @@ def write_config(tmp_path, **extra):
     return path
 
 
+def assert_one_error_line(capsys, kind, *words):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err
+
+
+def refuse_training(*args, **kwargs):
+    raise AssertionError("a task was trained")
+
+
 class TestRun:
     def test_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "--config", "/nonexistent.json", "--out", "/tmp/x"]) == 2
@@ -98,6 +109,25 @@ class TestRun:
         assert cli.main(["run", "--config", str(path), "--out", str(out_a)]) == 0
         assert cli.main(["run", "--config", str(path), "--out", str(out_b)]) == 0
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"schema_version": 1, "mode": "\xff"}')
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert_one_error_line(capsys, "config", "not UTF-8")
+
+    def test_out_under_a_regular_file_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sequence", refuse_training)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "config", str(out))
+
+    def test_metrics_jsonl_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "metrics.jsonl").mkdir(parents=True)
+        assert cli.main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "config", str(out / "metrics.jsonl"))
 
     def test_no_out_dir_exits_2(self, tmp_path):
         path = write_config(tmp_path)
@@ -357,6 +387,13 @@ class TestGenSynth:
     def test_unknown_class_exits_2(self):
         assert cli.main(["gen-synth", "--classes", "pyramid", "--out", "/tmp/x"]) == 2
 
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "data"
+        assert cli.main(["gen-synth", "--classes", "sphere", "--per-class", "2", "--points", "4",
+                         "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "config", str(out))
+
 
 class TestEval:
     def _run(self, tmp_path):
@@ -431,6 +468,19 @@ class TestDirectoryDataset:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "point clouds disagree on shape" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_point_entry_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sequence", refuse_training)
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-synth", "--classes", "sphere,cube", "--per-class", "3",
+                         "--points", "8", "--out", str(data_dir)]) == 0
+        (data_dir / "cube" / "train" / "zz.pts").mkdir()
+        path = write_config(tmp_path, dataset={"type": "directory", "root": str(data_dir),
+                                               "tasks": [["cube", "sphere"]], "points": 8})
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert_one_error_line(capsys, "data", "zz.pts: cannot read")
         assert not (tmp_path / "out").exists()
 
     def test_run_from_generated_directory(self, tmp_path):
