@@ -21,7 +21,6 @@ snapshot reach the loss through ``mam.total_loss`` alone.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -110,14 +109,6 @@ class ArchivedTask:
     dataset: TaskDataset
     peak_accuracy: float
 
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for group in (self.kernels, self.contractions, self.biases,
-                      self.head_weights, self.head_biases, self.kb_layers or ()):
-            for arr in group:
-                h.update(arr.tobytes())
-        return h.hexdigest()
-
 
 def _frozen(tensors: Sequence[Tensor]) -> tuple[np.ndarray, ...]:
     out = []
@@ -196,8 +187,6 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
     params = [*kb.layers, *factors.trainable()]
     state = adam_state(params)
     train_batch, train_labels = _stack_split(dataset.train)
-    if train_batch.shape[2] != cfg.backbone.widths[0]:
-        raise DataError(f"point dimension {train_batch.shape[2]} != backbone input {cfg.backbone.widths[0]}")
     n = len(dataset.train)
     steps_per_epoch = -(-n // cfg.batch_size)
     records = []
@@ -237,6 +226,12 @@ def run_sequence(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> tuple[l
     """Train the whole sequence, archiving and re-evaluating after each task."""
     if not tasks:
         raise DataError("run_sequence: no tasks")
+    # A task's clouds share one shape (TaskDataset), so its first cloud
+    # stands for all of them; check every task before any trains.
+    for task_id, dataset in enumerate(tasks, start=1):
+        dim = dataset.train[0][0].points.shape[1]
+        if dim != cfg.backbone.widths[0]:
+            raise DataError(f"task {task_id}: point dimension {dim} != backbone input {cfg.backbone.widths[0]}")
     archive: list[ArchivedTask] = []
     log = RunLog()
     kb = init_knowledge_base(cfg.spec, seed=[cfg.seed, 0, 0])
