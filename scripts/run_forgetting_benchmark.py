@@ -2,8 +2,10 @@
 
 Runs the experiment of desk_config.json next to this script (five 3-class
 tasks drawn from six synthetic primitives) under each mode, repeated over
-seeds.  Prints per-mode mean final APA / CFR / PPA and the per-task accuracy
-matrices for diagnosis.  Every other setting comes from the JSON file.
+seeds.  Prints each run's APA / CFR / PPA with its run fingerprint
+(``RunLog.fingerprint()``, the refactor proof of ROADMAP.md), the per-task
+accuracy matrices for diagnosis, and per-mode means.  Every other setting
+comes from the JSON file.
 
 Usage: python scripts/run_forgetting_benchmark.py [--seeds 0 1 2] [--epochs N]
                                                   [--modes l3doc finetune stl]
@@ -49,6 +51,7 @@ def run_mode(mode: str, seed: int, epochs: int | None) -> dict:
         "cfr": cfr([final[t] for t in seen], [peaks[t] for t in seen]),
         "ppa": sum(ppa(log.trace(t)) for t in seen) / len(seen),
         "matrix": matrix,
+        "fingerprint": log.fingerprint(),
         "elapsed": elapsed,
     }
 
@@ -79,7 +82,7 @@ def main() -> int:
             for key in ("apa", "cfr", "ppa"):
                 summary[mode][key].append(res[key])
             print(f"\n[{mode} seed={seed}] APA={res['apa']:.3f} CFR={res['cfr']:.3f} "
-                  f"PPA={res['ppa']:.3f}  ({res['elapsed']:.1f}s)")
+                  f"PPA={res['ppa']:.3f} fingerprint={res['fingerprint']}  ({res['elapsed']:.1f}s)")
             print_matrix(res["matrix"])
     print("\n=== means over seeds ===")
     for mode in args.modes:

@@ -1,12 +1,15 @@
 """The desk benchmark script runs the experiment acceptance criterion 7 gates."""
 
+import dataclasses
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from l3doc.trainer import MODES
+from l3doc.trainer import MODES, run_sequence
 from test_acceptance import DESK_SEEDS, _desk_config, _desk_tasks
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_forgetting_benchmark.py"
@@ -42,3 +45,11 @@ def test_script_desk_experiment_is_the_acceptance_desk_experiment(script, seed):
 def test_epochs_override(script):
     cfg, _ = script.desk_experiment("finetune", 0, epochs=2)
     assert (cfg.mode, cfg.epochs) == ("finetune", 2)
+
+
+def test_prints_each_runs_fingerprint(script, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--seeds", "0", "--epochs", "1", "--modes", "l3doc"])
+    assert script.main() == 0
+    printed = re.findall(r"^\[l3doc seed=0\] APA=.* fingerprint=([0-9a-f]{64}) ", capsys.readouterr().out, re.M)
+    _, log = run_sequence(dataclasses.replace(_desk_config("l3doc", 0), epochs=1), _desk_tasks(0))
+    assert printed == [log.fingerprint()]
