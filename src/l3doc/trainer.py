@@ -226,8 +226,7 @@ def run_sequence(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> tuple[l
     """Train the whole sequence, archiving and re-evaluating after each task."""
     if not tasks:
         raise DataError("run_sequence: no tasks")
-    # A task's clouds share one shape (TaskDataset), so its first cloud
-    # stands for all of them; check every task before any trains.
+    # TaskDataset gives a task's clouds one shape; check every task before any trains.
     for task_id, dataset in enumerate(tasks, start=1):
         dim = dataset.train[0][0].points.shape[1]
         if dim != cfg.backbone.widths[0]:
