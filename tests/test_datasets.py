@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,21 @@ TETRA_FUSED = TETRA_OFF.replace("OFF\n4 4 0", "OFF4 4 0")
 OFF_TOKENS = st.sampled_from(["OFF", "OFF3", "0", "1", "2", "3", "4", "-1", "1.5", "1e400",
                               "nan", "x", "#", ""])
 OFF_DOCUMENTS = st.sampled_from([TETRA_OFF, TETRA_FUSED]).map(str.encode)
+
+
+def fps_row_reduction(pts, k, start_index=0):
+    """Farthest-point sampling as one (n, d) reduction per pick: the row-major
+    formulation whose indices the library's kernel must reproduce."""
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = start_index
+    dist = np.sum((pts - pts[start_index]) ** 2, axis=1)
+    dist[start_index] = -1.0
+    for i in range(1, k):
+        nxt = int(np.argmax(dist))
+        chosen[i] = nxt
+        dist = np.minimum(dist, np.sum((pts - pts[nxt]) ** 2, axis=1))
+        dist[nxt] = -1.0
+    return chosen
 
 
 def assert_valid_mesh(mesh):
@@ -161,14 +178,42 @@ class TestFarthestPointSampling:
             ds.farthest_point_sampling(np.zeros((3, 2)), 4)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24))
-    def test_matches_loop_oracle(self, seed, n):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24), st.integers(1, 7))
+    def test_matches_loop_oracle(self, seed, n, d):
         rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(n, 3))
+        pts = rng.normal(size=(n, d))
         k = int(rng.integers(1, n + 1))
         got = ds.farthest_point_sampling(pts, k)
         want = oracles.fps_trace(pts, k)
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["normal", "grid", "duplicates"]),
+           st.integers(1, 7), st.integers(-6, 6))
+    def test_same_indices_as_row_reduction(self, seed, kind, d, exponent):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":  # exact distance ties everywhere
+            pts = rng.integers(-2, 3, size=(40, d)).astype(np.float64)
+        elif kind == "duplicates":
+            pts = rng.normal(size=(10, d))[rng.integers(0, 10, size=40)]
+        else:
+            pts = rng.normal(size=(40, d))
+        pts *= 10.0 ** exponent
+        k = int(rng.integers(1, 41))
+        start = int(rng.integers(0, 40))
+        got = ds.farthest_point_sampling(pts, k, start_index=start)
+        np.testing.assert_array_equal(got, fps_row_reduction(pts, k, start))
+
+    def test_input_layouts_give_same_indices_and_stay_unmodified(self):
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(60, 3))
+        keep = pts.copy()
+        want = ds.farthest_point_sampling(pts, 12, start_index=4)
+        np.testing.assert_array_equal(pts, keep)
+        np.testing.assert_array_equal(ds.farthest_point_sampling(np.asfortranarray(pts), 12, 4), want)
+        np.testing.assert_array_equal(ds.farthest_point_sampling(ds.PointCloud(pts), 12, 4), want)
+        np.testing.assert_array_equal(ds.farthest_point_sampling(pts[::2], 6, 2),
+                                      ds.farthest_point_sampling(pts[::2].copy(), 6, 2))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -380,6 +425,27 @@ class TestFileIO:
         assert cloud.points.shape == (16, 3)
         centered = cloud.points - cloud.points.mean(axis=0)
         assert abs(np.linalg.norm(centered, axis=1).max() - 1.0) <= 1e-9
+
+    def test_off_ingestion_bits_are_fixed(self, tmp_path):
+        # Seeded octahedra, sampled at 4x the requested points so that
+        # farthest-point sampling picks every cloud; any change to parsing,
+        # sampling, FPS or normalization shows in the digest.
+        unit = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+        faces = np.array([[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+                          [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]])
+        rng = np.random.default_rng(17)
+        for cls in ("a", "b"):
+            for split, count in (("train", 3), ("test", 2)):
+                (tmp_path / cls / split).mkdir(parents=True)
+                for i in range(count):
+                    verts = unit * rng.uniform(0.5, 2.0, size=(6, 1)) + rng.normal(0, 0.1, size=(6, 3))
+                    mesh = ds.Mesh(vertices=verts, faces=faces)
+                    (tmp_path / cls / split / f"{i}.off").write_text(ds.serialize_off(mesh))
+        task = ds.load_task_from_dir(tmp_path, ("a", "b"), task_id=1, n_pts=64, seed=[3, 301, 0])
+        digest = hashlib.sha256()
+        for cloud, _ in [*task.train, *task.test]:
+            digest.update(cloud.points.tobytes())
+        assert digest.hexdigest() == "68f9fee977ea3e8ef86a0eee9c2c746f79baaf056913390a04c6fc0629716a1f"
 
     def test_missing_class_dir(self, tmp_path):
         with pytest.raises(DataError):
