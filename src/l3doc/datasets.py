@@ -176,22 +176,37 @@ def sample_mesh(mesh: Mesh, n_pts: int, seed) -> PointCloud:
 # ----------------------------------------------------------- preprocessing
 
 def farthest_point_sampling(cloud, k: int, start_index: int = 0) -> np.ndarray:
-    """Greedy max-min subset of k point indices, ties to the lowest index."""
+    """Greedy max-min subset of k point indices, ties to the lowest index.
+
+    The (n, d) cloud is copied once as d contiguous length-n rows, one per
+    coordinate, and each pick updates the nearest-selected distances with a
+    few in-place passes over those rows: O(k·n·d) time, O(n·d) memory.  The
+    squared distance adds its terms in coordinate order, as ``np.sum`` over
+    a length-d axis does for d < 8, so for those the distances, and hence
+    the indices, are bit for bit those of ``np.sum((pts - p) ** 2, axis=1)``.
+    """
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise DataError(f"cannot select {k} points from {n}")
     if not 0 <= start_index < n:
         raise DataError(f"start index {start_index} out of range [0, {n})")
+    cols = np.ascontiguousarray(pts.T)
+    dist = np.full(n, np.inf)
+    sq, term = np.empty(n), np.empty(n)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = start_index
-    dist = np.sum((pts - pts[start_index]) ** 2, axis=1)
-    dist[start_index] = -1.0  # never re-pick a selected point
     for i in range(1, k):
-        nxt = int(np.argmax(dist))
-        chosen[i] = nxt
-        dist = np.minimum(dist, np.sum((pts - pts[nxt]) ** 2, axis=1))
-        dist[nxt] = -1.0
+        p = chosen[i - 1]
+        np.subtract(cols[0], cols[0, p], out=sq)
+        np.multiply(sq, sq, out=sq)
+        for col in cols[1:]:
+            np.subtract(col, col[p], out=term)
+            np.multiply(term, term, out=term)
+            np.add(sq, term, out=sq)
+        np.minimum(dist, sq, out=dist)
+        dist[p] = -1.0  # never re-pick a selected point
+        chosen[i] = dist.argmax()
     return chosen
 
 
@@ -440,7 +455,9 @@ def _load_cloud(path: Path, n_pts: int, seed) -> PointCloud:
                 mesh = parse_off(path.read_bytes())
             except DataError as e:
                 raise DataError(f"{path}: {e}") from None
-            pts = sample_mesh(mesh, max(4 * n_pts, n_pts), seed).points
+            # Area-weighted random samples clump; FPS thins 4x as many to
+            # n_pts that cover the surface evenly.
+            pts = sample_mesh(mesh, 4 * n_pts, seed).points
         else:
             raise DataError(f"{path}: unsupported extension (want .pts or .off)")
     except OSError as e:  # a directory or an unreadable entry named like a point file
