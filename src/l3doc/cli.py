@@ -14,7 +14,8 @@ cannot be written (--out or out_dir, gen-synth --out) are config errors.
 A ShapeError (operands that do not fit the model) exits 3 too, as a data
 error; point clouds of different shapes within one task, a point file
 that cannot be read and a task whose point dimension is not the
-backbone's input width are rejected as data errors before any task trains.
+backbone's input width are rejected as data errors before any output is
+written.
 
 Config schema (JSON; every key optional unless noted, defaults shown; a
 supplied value must have its default's type):
@@ -60,7 +61,7 @@ from .errors import ConfigError, DataError, NumericError
 from .factorization import FactorSpec, count_dfcnn, count_l3doc, count_stl, l3doc_layer_counts
 from .mam import MamConfig
 from .metrics import export, parse_jsonl, summary_csv_bytes, summary_rows
-from .trainer import MODES, ExperimentConfig, run_sequence
+from .trainer import MODES, ExperimentConfig, check_tasks, run_sequence
 
 SCHEMA_VERSION = 1
 
@@ -214,6 +215,7 @@ def cmd_run(args) -> int:
         raise ConfigError("no output directory: set out_dir in the config or pass --out")
     cfg = experiment_from_resolved(resolved)
     tasks = build_tasks(resolved)
+    check_tasks(cfg, tasks)
     out_dir = Path(resolved["out_dir"])
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -222,15 +222,20 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
     return factors, records
 
 
-def run_sequence(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> tuple[list[ArchivedTask], RunLog]:
-    """Train the whole sequence, archiving and re-evaluating after each task."""
+def check_tasks(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> None:
+    """Reject an empty sequence, or a task whose point dimension is not the
+    backbone's input width (TaskDataset gives a task's clouds one shape)."""
     if not tasks:
         raise DataError("run_sequence: no tasks")
-    # TaskDataset gives a task's clouds one shape; check every task before any trains.
     for task_id, dataset in enumerate(tasks, start=1):
         dim = dataset.train[0][0].points.shape[1]
         if dim != cfg.backbone.widths[0]:
             raise DataError(f"task {task_id}: point dimension {dim} != backbone input {cfg.backbone.widths[0]}")
+
+
+def run_sequence(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> tuple[list[ArchivedTask], RunLog]:
+    """Train the whole sequence, archiving and re-evaluating after each task."""
+    check_tasks(cfg, tasks)  # every task, before any trains
     archive: list[ArchivedTask] = []
     log = RunLog()
     kb = init_knowledge_base(cfg.spec, seed=[cfg.seed, 0, 0])

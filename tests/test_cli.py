@@ -483,6 +483,20 @@ class TestDirectoryDataset:
         assert_one_error_line(capsys, "data", "zz.pts: cannot read")
         assert not (tmp_path / "out").exists()
 
+    def test_later_task_of_another_point_dimension_exits_3_before_output(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-synth", "--classes", "sphere,cube,cone,plane", "--per-class", "3",
+                         "--points", "8", "--out", str(data_dir)]) == 0
+        for path in [*data_dir.glob("cone/*/*.pts"), *data_dir.glob("plane/*/*.pts")]:
+            head, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([head.replace(" 3", " 4")] + [r + " 0.5" for r in rows]) + "\n")
+        path = write_config(tmp_path, dataset={"type": "directory", "root": str(data_dir), "points": 8,
+                                               "tasks": [["cube", "sphere"], ["cone", "plane"]]})
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert_one_error_line(capsys, "data", "task 2: point dimension 4 != backbone input 3")
+        assert not (tmp_path / "out" / "resolved-config.json").exists()
+
     def test_run_from_generated_directory(self, tmp_path):
         data_dir = tmp_path / "data"
         assert cli.main(["gen-synth", "--classes", "sphere,cube", "--per-class", "5",
