@@ -208,7 +208,7 @@ class TestFarthestPointSampling:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(60, 3))
         keep = pts.copy()
-        want = ds.farthest_point_sampling(pts, 12, start_index=4)
+        want = ds.farthest_point_sampling(pts, 12, 4)
         np.testing.assert_array_equal(pts, keep)
         np.testing.assert_array_equal(ds.farthest_point_sampling(np.asfortranarray(pts), 12, 4), want)
         np.testing.assert_array_equal(ds.farthest_point_sampling(ds.PointCloud(pts), 12, 4), want)
