@@ -22,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from l3doc.cli import build_tasks, experiment_from_resolved, resolve_config
-from l3doc.metrics import apa, cfr, ppa
+from l3doc.metrics import summary_rows
 from l3doc.trainer import MODES, run_sequence
 
 DESK_CONFIG = Path(__file__).resolve().parent / "desk_config.json"
@@ -42,14 +42,12 @@ def run_mode(mode: str, seed: int, epochs: int | None) -> dict:
     t0 = time.perf_counter()
     _, log = run_sequence(cfg, tasks)
     elapsed = time.perf_counter() - t0
-    final = log.boundary_accuracies(num_tasks)
-    peaks = log.peaks()
-    seen = sorted(final)
+    rows = summary_rows(log)  # summary.csv's rows: the last one is the final boundary
     matrix = {after: log.boundary_accuracies(after) for after in range(1, num_tasks + 1)}
     return {
-        "apa": apa([final[t] for t in seen]),
-        "cfr": cfr([final[t] for t in seen], [peaks[t] for t in seen]),
-        "ppa": sum(ppa(log.trace(t)) for t in seen) / len(seen),
+        "apa": rows[-1]["apa"],
+        "cfr": rows[-1]["cfr"],
+        "ppa": sum(row["ppa"] for row in rows) / len(rows),
         "matrix": matrix,
         "fingerprint": log.fingerprint(),
         "elapsed": elapsed,

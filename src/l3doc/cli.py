@@ -13,34 +13,13 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure,
 cannot be written (--out or out_dir, gen-synth --out) are config errors.
 A ShapeError (operands that do not fit the model) exits 3 too, as a data
 error; point clouds of different shapes within one task, a point file
-that cannot be read and a task whose point dimension is not the
-backbone's input width are rejected as data errors before any output is
-written.
+that cannot be read, parsed or sampled (the error names the file) and a
+task whose point dimension is not the backbone's input width are rejected
+as data errors before any output is written.
 
-Config schema (JSON; every key optional unless noted, defaults shown; a
-supplied value must have its default's type):
-
-    {
-      "schema_version": 1,              // required, must be 1
-      "mode": "l3doc",                  // l3doc | stl | finetune
-      "seed": 0,                        // >= 0
-      "epochs": 10, "batch_size": 16, "lr": 0.001,   // lr finite, >= 0
-      "spec": {"n_hat": 16, "l_hat": 32, "s": 2},
-      "backbone": {"widths": [3,64,64,128,128,1024],   // head widths >= 1
-                    "head_widths": [256], "loss_kind": "squared"},  // only "squared"
-      "mam": {"lambda_l": 1.0,          // finite, >= 0
-              "detach_attention": true}, // only true
-      "dataset": {...},                 // required, see below
-      "out_dir": "runs/exp"             // or pass --out
-    }
-
-Dataset sources (num_tasks, classes_per_task, root and tasks have no default;
-resolved-config.json lists the other keys with their defaults):
-    {"type": "synthetic", "class_pool": [...all 8 primitive names...],   // distinct
-     "num_tasks": 5, "classes_per_task": 3,   // >= 1; or "tasks", then class_pool is unused
-     "per_class": 20, "points": 128, "noise_sigma": 0.01}   // points >= 1
-    {"type": "directory", "root": "path", "tasks": [["chair","table"], ...],
-     "points": 1024, "normalize": true}   // a task names distinct classes
+The config schema, its defaults and value ranges are documented once, in
+README.md under "Config file"; resolved-config.json lists every key of a
+run with its value.
 """
 
 from __future__ import annotations
@@ -65,9 +44,9 @@ from .trainer import MODES, ExperimentConfig, check_tasks, run_sequence
 
 SCHEMA_VERSION = 1
 
-# Published end-to-end totals quoted for these presets at 10 tasks over the
-# standard widths, together with the reduction claim made for them.
-REFERENCE_TOTALS = {(16, 32, 2): 950664, (32, 32, 2): 475332}
+# Published end-to-end totals quoted for the two presets at 10 tasks over the
+# PointNet widths, together with the reduction claim made for them.
+REFERENCE_TOTALS = {FactorSpec.group1(): 950664, FactorSpec.group2(): 475332}
 REFERENCE_CLAIM = "1.68x~3.36x fewer parameters than independent per-task models"
 
 # Every config key but the dataset, with its default: the experiment
@@ -249,7 +228,7 @@ def cmd_count_params(args) -> int:
               f"per-task {row['per_task']} x {args.tasks} + shared {row['shared']} = {row['total']}")
     baseline = count_stl(widths, args.tasks)
     print(f"  baseline (independent per-task models): {baseline} -> ratio {baseline / total:.2f}x")
-    ref = REFERENCE_TOTALS.get((args.nhat, args.lhat, args.s))
+    ref = REFERENCE_TOTALS.get(spec)
     if ref is not None and args.tasks == 10:
         print(f"  published reference total for this preset at 10 tasks: {ref} ({REFERENCE_CLAIM})")
         if ref != total:

@@ -28,6 +28,7 @@ PRIMITIVES = ("sphere", "cube", "cylinder", "cone", "torus", "plane", "helix", "
 SYNTHETIC_DEFAULTS = {"class_pool": PRIMITIVES, "per_class": 20, "points": 128,
                       "noise_sigma": 0.01}
 DIRECTORY_DEFAULTS = {"points": 1024, "normalize": True}
+POINT_FILE_SUFFIXES = (".off", ".pts")
 
 
 @dataclass
@@ -154,7 +155,7 @@ def serialize_off(mesh: Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sample_mesh(mesh: Mesh, n_pts: int, seed) -> PointCloud:
+def sample_mesh(mesh: Mesh, n_pts: int, seed) -> np.ndarray:
     """Sample points on the surface: triangles by area, uniform within each."""
     if len(mesh.faces) == 0:
         raise DataError("mesh has no faces to sample")
@@ -163,19 +164,18 @@ def sample_mesh(mesh: Mesh, n_pts: int, seed) -> PointCloud:
     c = mesh.vertices[mesh.faces[:, 2]]
     areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
     total = areas.sum()
-    if total <= 0.0:
-        raise DataError("mesh surface area is zero, cannot sample")
+    if not 0.0 < total < np.inf:  # zero, or overflowed to inf or nan
+        raise DataError(f"mesh surface area is {total}, cannot sample")
     rng = np.random.default_rng(seed)
     pick = rng.choice(len(mesh.faces), size=n_pts, p=areas / total)
     r1 = np.sqrt(rng.uniform(size=(n_pts, 1)))
     r2 = rng.uniform(size=(n_pts, 1))
-    pts = (1 - r1) * a[pick] + r1 * (1 - r2) * b[pick] + r1 * r2 * c[pick]
-    return PointCloud(pts)
+    return (1 - r1) * a[pick] + r1 * (1 - r2) * b[pick] + r1 * r2 * c[pick]
 
 
 # ----------------------------------------------------------- preprocessing
 
-def farthest_point_sampling(cloud, k: int, start_index: int = 0) -> np.ndarray:
+def farthest_point_sampling(pts: np.ndarray, k: int, start_index: int = 0) -> np.ndarray:
     """Greedy max-min subset of k point indices, ties to the lowest index.
 
     The (n, d) cloud is copied once as d contiguous length-n rows, one per
@@ -185,7 +185,7 @@ def farthest_point_sampling(cloud, k: int, start_index: int = 0) -> np.ndarray:
     a length-d axis does for d < 8, so for those the distances, and hence
     the indices, are bit for bit those of ``np.sum((pts - p) ** 2, axis=1)``.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
+    pts = np.asarray(pts, dtype=np.float64)
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise DataError(f"cannot select {k} points from {n}")
@@ -210,13 +210,15 @@ def farthest_point_sampling(cloud, k: int, start_index: int = 0) -> np.ndarray:
     return chosen
 
 
-def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
+def normalize_unit_sphere(pts: np.ndarray) -> np.ndarray:
     """Center on the centroid and scale the farthest point to radius 1."""
-    centered = cloud.points - cloud.points.mean(axis=0)
+    centered = pts - pts.mean(axis=0)
     radius = np.linalg.norm(centered, axis=1).max()
     if radius <= 1e-12:
         raise DataError("degenerate cloud: zero radius after centering")
-    return PointCloud(centered / radius, source=cloud.source)
+    if not np.isfinite(radius):
+        raise DataError("cloud radius overflows float64 after centering")
+    return centered / radius
 
 
 def make_split_plan(class_names: Sequence[str], num_tasks: int,
@@ -404,28 +406,28 @@ def write_pts(path: Path, points: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_pts(path: Path) -> np.ndarray:
-    try:
-        lines = _utf8_text(Path(path).read_bytes()).splitlines()
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
+def read_pts(data: bytes) -> np.ndarray:
+    """Parse a PTS document; malformed input raises DataError."""
+    lines = _utf8_text(data).splitlines()
     if not lines:
-        raise DataError(f"{path}: empty PTS file")
+        raise DataError("empty PTS file")
     try:
         n, d = (int(t) for t in lines[0].split())
     except ValueError:
-        raise DataError(f"{path}: line 1: expected 'n d' header, got {lines[0]!r}") from None
+        raise DataError(f"line 1: expected 'n d' header, got {lines[0]!r}") from None
+    if d < 1:
+        raise DataError(f"line 1: point dimension must be >= 1, got {d}")
     if len(lines) < 1 + n:
-        raise DataError(f"{path}: header promises {n} points, file has {len(lines) - 1}")
+        raise DataError(f"header promises {n} points, file has {len(lines) - 1}")
     try:
         pts = np.array([[float(t) for t in lines[1 + i].split()] for i in range(n)])
     except ValueError as e:
-        raise DataError(f"{path}: bad float in point block: {e}") from None
+        raise DataError(f"bad float in point block: {e}") from None
     if pts.shape != (n, d):
-        raise DataError(f"{path}: point block shape {pts.shape} != header ({n}, {d})")
+        raise DataError(f"point block shape {pts.shape} != header ({n}, {d})")
     bad = ~np.isfinite(pts).all(axis=1)
     if bad.any():
-        raise DataError(f"{path}: line {2 + int(bad.argmax())}: non-finite coordinate")
+        raise DataError(f"line {2 + int(bad.argmax())}: non-finite coordinate")
     return pts
 
 
@@ -446,26 +448,26 @@ def write_dataset_dir(root: Path, dataset: TaskDataset) -> list[Path]:
     return written
 
 
-def _load_cloud(path: Path, n_pts: int, seed) -> PointCloud:
+def _load_cloud(path: Path, n_pts: int, seed, normalize: bool) -> PointCloud:
+    """A point file as a task's cloud; every failure is a DataError naming the file."""
     try:
-        if path.suffix == ".pts":
-            pts = read_pts(path)
-        elif path.suffix == ".off":
-            try:
-                mesh = parse_off(path.read_bytes())
-            except DataError as e:
-                raise DataError(f"{path}: {e}") from None
+        data = path.read_bytes()
+        if path.suffix == ".off":
             # Area-weighted random samples clump; FPS thins 4x as many to
             # n_pts that cover the surface evenly.
-            pts = sample_mesh(mesh, 4 * n_pts, seed).points
+            pts = sample_mesh(parse_off(data), 4 * n_pts, seed)
         else:
-            raise DataError(f"{path}: unsupported extension (want .pts or .off)")
+            pts = read_pts(data)
+        if pts.shape[0] < n_pts:
+            raise DataError(f"{pts.shape[0]} points < requested {n_pts}")
+        if pts.shape[0] > n_pts:
+            pts = pts[farthest_point_sampling(pts, n_pts)]
+        if normalize:
+            pts = normalize_unit_sphere(pts)
     except OSError as e:  # a directory or an unreadable entry named like a point file
         raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
-    if pts.shape[0] < n_pts:
-        raise DataError(f"{path}: {pts.shape[0]} points < requested {n_pts}")
-    if pts.shape[0] > n_pts:
-        pts = pts[farthest_point_sampling(pts, n_pts)]
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
     return PointCloud(pts, source=str(path))
 
 
@@ -481,13 +483,9 @@ def load_task_from_dir(root: Path, class_names: Sequence[str], task_id: int,
         if not cls_dir.is_dir():
             raise DataError(f"missing class directory {cls_dir}")
         for split_name, bucket in (("train", train), ("test", test)):
-            files = sorted((cls_dir / split_name).glob("*"))
-            files = [f for f in files if f.suffix in (".pts", ".off")]
+            files = [f for f in sorted((cls_dir / split_name).glob("*"))
+                     if f.suffix in POINT_FILE_SUFFIXES]
             if not files:
                 raise DataError(f"no point files under {cls_dir / split_name}")
-            for f in files:
-                cloud = _load_cloud(f, n_pts, seed)
-                if normalize:
-                    cloud = normalize_unit_sphere(cloud)
-                bucket.append((cloud, label))
+            bucket.extend((_load_cloud(f, n_pts, seed, normalize), label) for f in files)
     return TaskDataset(task_id=task_id, class_names=tuple(class_names), train=train, test=test)

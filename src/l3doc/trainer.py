@@ -213,6 +213,8 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
             adam_step(params, grads, state, cfg.lr)
             wall_ms += (time.perf_counter() - t0) * 1e3
             losses.append(float(total.data))
+            # Free this step's graph before the next step or the evaluation builds its own.
+            del kernels, logits, lc, total, grads
         if not all(np.isfinite(p.data).all() for p in params):
             raise NumericError(f"non-finite parameter after task {task_id} epoch {epoch}")
         records.append(EpochRecord(task_id=task_id, epoch=epoch,

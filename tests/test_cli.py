@@ -164,6 +164,25 @@ class TestRun:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, content, message", [
+        ("a.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n", "mesh surface area is 0.0"),
+        ("a.pts", b"4 3\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n", "degenerate cloud: zero radius"),
+    ], ids=["zero-area-off", "zero-radius-pts"])
+    def test_degenerate_point_file_exits_3_naming_it_once(self, tmp_path, capsys, monkeypatch,
+                                                          name, content, message):
+        monkeypatch.setattr(cli, "run_sequence", refuse_training)
+        for split in ("train", "test"):
+            (tmp_path / "data" / "tetra" / split).mkdir(parents=True)
+            (tmp_path / "data" / "tetra" / split / name).write_bytes(content)
+        path = write_config(tmp_path, dataset={
+            "type": "directory", "root": str(tmp_path / "data"), "tasks": [["tetra"]], "points": 3})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        bad = tmp_path / "data" / "tetra" / "train" / name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {bad}: ") and err.count("\n") == 1
+        assert err.count(str(bad)) == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_directory_dataset_without_root_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, dataset={"type": "directory", "tasks": [["sphere"]]})
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -345,6 +364,14 @@ class TestCountParams:
         assert cli.main(["count-params", "--family", "l3doc", "--tasks", "10",
                          "--nhat", "32", "--lhat", "32", "--s", "2"]) == 0
         assert "475332" in capsys.readouterr().out
+
+    def test_preset_divisors_over_other_widths_print_no_reference(self, capsys):
+        # The published totals describe the PointNet widths only.
+        assert cli.main(["count-params", "--family", "l3doc", "--tasks", "10", "--nhat", "16",
+                         "--lhat", "32", "--s", "2", "--widths", "3,32,64"]) == 0
+        out = capsys.readouterr().out
+        assert "layer 2" in out and "published" not in out and "NOTE" not in out
+        assert "950664" not in out
 
     def test_invalid_divisibility_exits_2(self, capsys):
         assert cli.main(["count-params", "--family", "l3doc", "--widths", "3,100"]) == 2

@@ -1,4 +1,6 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,15 @@ TETRA_FUSED = TETRA_OFF.replace("OFF\n4 4 0", "OFF4 4 0")
 OFF_TOKENS = st.sampled_from(["OFF", "OFF3", "0", "1", "2", "3", "4", "-1", "1.5", "1e400",
                               "nan", "x", "#", ""])
 OFF_DOCUMENTS = st.sampled_from([TETRA_OFF, TETRA_FUSED]).map(str.encode)
+# Valid OFF documents with a few bytes spliced in somewhere.
+OFF_SPLICES = st.tuples(OFF_DOCUMENTS, st.binary(max_size=3), st.integers(0, 60)).map(
+    lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+# PTS-shaped documents from tokens a PTS file is made of, plus near misses.
+PTS_DOCUMENTS = st.lists(st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "inf", "1e308",
+                                                   "x", ""]), max_size=4), max_size=6).map(
+    lambda rows: "\n".join(" ".join(r) for r in rows).encode())
+
+ZERO_AREA_OFF = b"OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n"
 
 
 def fps_row_reduction(pts, k, start_index=0):
@@ -120,8 +131,7 @@ class TestParseOff:
         assert_valid_mesh(mesh)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.binary(), st.tuples(OFF_DOCUMENTS, st.binary(max_size=3), st.integers(0, 60))
-                     .map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])))
+    @given(st.one_of(st.binary(), OFF_SPLICES))
     def test_any_bytes_parse_or_raise_data_error(self, data):
         try:
             mesh = ds.parse_off(data)
@@ -134,7 +144,7 @@ class TestSampleMesh:
     def test_single_triangle_containment(self):
         tri = ds.Mesh(vertices=np.array([[0.0, 0, 0], [2.0, 0, 0], [0.0, 3.0, 0]]),
                       faces=np.array([[0, 1, 2]]))
-        pts = ds.sample_mesh(tri, 500, seed=0).points
+        pts = ds.sample_mesh(tri, 500, seed=0)
         # barycentric coordinates w.r.t. the triangle basis stay in the simplex
         u = pts[:, 0] / 2.0
         v = pts[:, 1] / 3.0
@@ -152,7 +162,7 @@ class TestSampleMesh:
             vertices=np.array([[0.0, 0, 0], [2.0, 0, 0], [0, 1.0, 0],
                                [10.0, 0, 0], [16.0, 0, 0], [10.0, 1.0, 0]]),
             faces=np.array([[0, 1, 2], [3, 4, 5]]))
-        pts = ds.sample_mesh(mesh, 10_000, seed=1).points
+        pts = ds.sample_mesh(mesh, 10_000, seed=1)
         share_small = np.mean(pts[:, 0] < 5.0)
         sigma = np.sqrt(0.25 * 0.75 / 10_000)
         assert abs(share_small - 0.25) < 5 * sigma
@@ -211,7 +221,6 @@ class TestFarthestPointSampling:
         want = ds.farthest_point_sampling(pts, 12, 4)
         np.testing.assert_array_equal(pts, keep)
         np.testing.assert_array_equal(ds.farthest_point_sampling(np.asfortranarray(pts), 12, 4), want)
-        np.testing.assert_array_equal(ds.farthest_point_sampling(ds.PointCloud(pts), 12, 4), want)
         np.testing.assert_array_equal(ds.farthest_point_sampling(pts[::2], 6, 2),
                                       ds.farthest_point_sampling(pts[::2].copy(), 6, 2))
 
@@ -233,18 +242,17 @@ class TestFarthestPointSampling:
 class TestNormalize:
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        cloud = ds.normalize_unit_sphere(ds.PointCloud(rng.normal(size=(40, 3))))
-        again = ds.normalize_unit_sphere(cloud)
-        np.testing.assert_allclose(cloud.points, again.points, atol=1e-12)
+        pts = ds.normalize_unit_sphere(rng.normal(size=(40, 3)))
+        np.testing.assert_allclose(pts, ds.normalize_unit_sphere(pts), atol=1e-12)
 
     def test_repeated_point_rejected(self):
         with pytest.raises(DataError):
-            ds.normalize_unit_sphere(ds.PointCloud(np.ones((5, 3))))
+            ds.normalize_unit_sphere(np.ones((5, 3)))
 
     def test_radius_is_one(self):
         rng = np.random.default_rng(4)
-        cloud = ds.normalize_unit_sphere(ds.PointCloud(rng.normal(size=(64, 3)) * 7 + 2))
-        centered = cloud.points - cloud.points.mean(axis=0)
+        pts = ds.normalize_unit_sphere(rng.normal(size=(64, 3)) * 7 + 2)
+        centered = pts - pts.mean(axis=0)
         assert abs(np.linalg.norm(centered, axis=1).max() - 1.0) <= 1e-9
 
 
@@ -359,7 +367,7 @@ class TestFileIO:
         pts = rng.normal(size=(12, 3))
         path = tmp_path / "cloud.pts"
         ds.write_pts(path, pts)
-        np.testing.assert_array_equal(ds.read_pts(path), pts)
+        np.testing.assert_array_equal(ds.read_pts(path.read_bytes()), pts)
 
     def test_pts_rewrite_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -369,36 +377,24 @@ class TestFileIO:
         ds.write_pts(b, pts)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_pts_header_mismatch(self, tmp_path):
-        path = tmp_path / "bad.pts"
-        path.write_text("3 3\n0 0 0\n1 1 1\n")
+    def test_pts_header_mismatch(self):
         with pytest.raises(DataError):
-            ds.read_pts(path)
+            ds.read_pts(b"3 3\n0 0 0\n1 1 1\n")
 
     @pytest.mark.parametrize("row", ["nan 0 0", "0 inf 0"])
-    def test_pts_non_finite_names_its_line(self, tmp_path, row):
-        path = tmp_path / "bad.pts"
-        path.write_text(f"3 3\n0 0 0\n1 1 1\n{row}\n")
+    def test_pts_non_finite_names_its_line(self, row):
         with pytest.raises(DataError, match="line 4: non-finite"):
-            ds.read_pts(path)
+            ds.read_pts(f"3 3\n0 0 0\n1 1 1\n{row}\n".encode())
 
-    def test_pts_non_utf8_names_file_and_line(self, tmp_path):
-        path = tmp_path / "bad.pts"
-        path.write_bytes(b"2 3\n0 0 0\n1 \xfe 1\n")
-        with pytest.raises(DataError, match="bad.pts: line 3: not UTF-8"):
-            ds.read_pts(path)
+    def test_pts_non_utf8_names_its_line(self):
+        with pytest.raises(DataError, match="^line 3: not UTF-8"):
+            ds.read_pts(b"2 3\n0 0 0\n1 \xfe 1\n")
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.one_of(
-        st.binary(max_size=40),
-        st.lists(st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "inf", "x", ""]),
-                          max_size=4), max_size=6)
-        .map(lambda rows: "\n".join(" ".join(r) for r in rows).encode())))
-    def test_any_bytes_read_or_raise_data_error(self, tmp_path_factory, data):
-        path = tmp_path_factory.getbasetemp() / "fuzz.pts"
-        path.write_bytes(data)
+    @given(data=st.one_of(st.binary(max_size=40), PTS_DOCUMENTS))
+    def test_any_bytes_read_or_raise_data_error(self, data):
         try:
-            pts = ds.read_pts(path)
+            pts = ds.read_pts(data)
         except DataError:
             return
         n, d = (int(t) for t in data.decode().splitlines()[0].split())
@@ -446,6 +442,61 @@ class TestFileIO:
         for cloud, _ in [*task.train, *task.test]:
             digest.update(cloud.points.tobytes())
         assert digest.hexdigest() == "68f9fee977ea3e8ef86a0eee9c2c746f79baaf056913390a04c6fc0629716a1f"
+
+    def test_pts_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c" / "train" / "bad.pts"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"2 3\n0 0 0\n1 \xfe 1\n")
+        with pytest.raises(DataError) as info:
+            ds.load_task_from_dir(tmp_path, ("c",), task_id=1, n_pts=2)
+        assert str(info.value) == f"{path}: line 3: not UTF-8 text"
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("a.off", ZERO_AREA_OFF, "mesh surface area is 0.0"),
+        ("a.pts", b"2 3\n1 2 3\n1 2 3\n", "zero radius after centering"),
+        ("a.off", b"OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "mesh has no faces"),
+        ("a.off", b"OFF\n3 1 0\n0 0 0\n1e200 0 0\n0 1e200 0\n3 0 1 2\n", "mesh surface area is inf"),
+        # An infinite radius used to scale the cloud to all zeros.
+        ("a.pts", b"3 3\n1e308 0 0\n-1e308 0 0\n1e308 1 0\n", "radius overflows"),
+        ("a.off", b"OFF\n", "line 1: missing vertex/face counts"),
+        ("a.pts", b"", "empty PTS file"),
+        # A cloud without coordinates used to reach FPS as an IndexError.
+        ("a.pts", b"5 0\n\n\n\n\n\n", "line 1: point dimension must be >= 1"),
+        ("a.pts", b"1 3\n0 0 0\n", "1 points < requested 2"),
+        ("a.pts", None, "cannot read"),
+    ], ids=["zero-area-off", "zero-radius-pts", "faceless-off", "huge-off", "huge-pts", "short-off",
+            "empty-pts", "dimensionless-pts", "few-points-pts", "directory"])
+    def test_every_load_error_names_the_file_once(self, tmp_path, name, content, message):
+        path = tmp_path / "c" / "train" / name
+        path.parent.mkdir(parents=True)
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(DataError) as info:
+            ds.load_task_from_dir(tmp_path, ("c",), task_id=1, n_pts=2)
+        error = str(info.value)
+        assert error.startswith(f"{path}: ") and error.count(str(path)) == 1 and message in error
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.tuples(st.just(".off"), st.one_of(st.binary(max_size=60), OFF_SPLICES)),
+                     st.tuples(st.just(".pts"), st.one_of(st.binary(max_size=40), PTS_DOCUMENTS))),
+           st.integers(1, 4), st.booleans())
+    def test_any_point_file_loads_or_names_itself(self, file, n_pts, normalize):
+        suffix, data = file
+        with tempfile.TemporaryDirectory() as root:
+            paths = [Path(root, "c", split, "f" + suffix) for split in ("train", "test")]
+            for path in paths:
+                path.parent.mkdir(parents=True)
+                path.write_bytes(data)
+            try:
+                task = ds.load_task_from_dir(root, ("c",), task_id=1, n_pts=n_pts, normalize=normalize)
+            except DataError as e:
+                assert str(e).startswith(f"{paths[0]}: ") and str(e).count(root) == 1
+                return
+        cloud = task.train[0][0]
+        assert cloud.points.shape[0] == n_pts and np.isfinite(cloud.points).all()
+        assert cloud.source == str(paths[0])
 
     def test_missing_class_dir(self, tmp_path):
         with pytest.raises(DataError):

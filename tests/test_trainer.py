@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,25 @@ class TestTrainTask:
         prev.biases[0].data[0] = np.nan
         with pytest.raises(NumericError, match="non-finite loss nan at task 2 epoch 1 step 1"):
             tr.train_task(2, tiny_tasks(1)[0], kb, [], cfg, prev)
+
+    @pytest.mark.parametrize("mode", tr.MODES)
+    def test_each_forward_finds_the_previous_graph_freed(self, monkeypatch, mode):
+        # A step's graph (activations and node gradients) used to stay alive
+        # through the next step's forward and the epoch's evaluation.
+        outputs = []
+        real_forward = tr.forward
+
+        def forward(*args):
+            alive = [i for i, ref in enumerate(outputs) if ref() is not None]
+            assert not alive, f"forward {len(outputs)}: the outputs of forwards {alive} are alive"
+            logits = real_forward(*args)
+            outputs.append(weakref.ref(logits.data))
+            return logits
+
+        monkeypatch.setattr(tr, "forward", forward)
+        tr.run_sequence(tiny_cfg(mode=mode, epochs=2, batch_size=3), tiny_tasks(2))
+        # Per task, 2 epochs of 3 steps and an evaluation; then 1 + 2 boundary evaluations.
+        assert len(outputs) == 2 * 2 * (3 + 1) + 3
 
 
 class TestRunSequence:
