@@ -189,6 +189,8 @@ def cmd_run(args) -> int:
         raise ConfigError(f"config is not UTF-8: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError("config is not valid JSON: nested too deeply") from None
     resolved = resolve_config(raw, {"seed": args.seed, "mode": args.mode, "out_dir": args.out})
     if not resolved.get("out_dir"):
         raise ConfigError("no output directory: set out_dir in the config or pass --out")

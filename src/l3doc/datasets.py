@@ -451,19 +451,21 @@ def write_dataset_dir(root: Path, dataset: TaskDataset) -> list[Path]:
 def _load_cloud(path: Path, n_pts: int, seed, normalize: bool) -> PointCloud:
     """A point file as a task's cloud; every failure is a DataError naming the file."""
     try:
-        data = path.read_bytes()
-        if path.suffix == ".off":
-            # Area-weighted random samples clump; FPS thins 4x as many to
-            # n_pts that cover the surface evenly.
-            pts = sample_mesh(parse_off(data), 4 * n_pts, seed)
-        else:
-            pts = read_pts(data)
-        if pts.shape[0] < n_pts:
-            raise DataError(f"{pts.shape[0]} points < requested {n_pts}")
-        if pts.shape[0] > n_pts:
-            pts = pts[farthest_point_sampling(pts, n_pts)]
-        if normalize:
-            pts = normalize_unit_sphere(pts)
+        # An overflow is rejected as a DataError; numpy need not warn about it first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = path.read_bytes()
+            if path.suffix == ".off":
+                # Area-weighted random samples clump; FPS thins 4x as many to
+                # n_pts that cover the surface evenly.
+                pts = sample_mesh(parse_off(data), 4 * n_pts, seed)
+            else:
+                pts = read_pts(data)
+            if pts.shape[0] < n_pts:
+                raise DataError(f"{pts.shape[0]} points < requested {n_pts}")
+            if pts.shape[0] > n_pts:
+                pts = pts[farthest_point_sampling(pts, n_pts)]
+            if normalize:
+                pts = normalize_unit_sphere(pts)
     except OSError as e:  # a directory or an unreadable entry named like a point file
         raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
     except DataError as e:

@@ -104,6 +104,14 @@ class FactorSpec:
         return (1, 1, self.layer_dims(layer)[2])
 
 
+def frozen_copy(tensors: Sequence[Tensor]) -> tuple[np.ndarray, ...]:
+    """Read-only copies of the tensors' values, for state that training must not move."""
+    copies = tuple(np.array(t.data, copy=True) for t in tensors)
+    for arr in copies:
+        arr.flags.writeable = False
+    return copies
+
+
 class KnowledgeBase:
     """Per-layer shared knowledge tensors plus the previous task's frozen copy."""
 
@@ -112,7 +120,7 @@ class KnowledgeBase:
         self.take_snapshot()
 
     def take_snapshot(self) -> None:
-        self.snapshot = [np.array(t.data, copy=True) for t in self.layers]
+        self.snapshot = frozen_copy(self.layers)
 
 
 def init_knowledge_base(spec: FactorSpec, seed) -> KnowledgeBase:
@@ -133,9 +141,13 @@ class TaskFactors:
     head_weights: list[Tensor]
     head_biases: list[Tensor]
 
+    def groups(self) -> tuple[list[Tensor], ...]:
+        """The five factor groups in field order.  It reads the fields by
+        name, so ``TaskFactors.groups(entry)`` also lists an archive entry's."""
+        return (self.kernels, self.contractions, self.biases, self.head_weights, self.head_biases)
+
     def trainable(self) -> list[Tensor]:
-        return [*self.kernels, *self.contractions, *self.biases,
-                *self.head_weights, *self.head_biases]
+        return [t for group in self.groups() for t in group]
 
 
 def _init_head(head_dims: Sequence[int], rng: np.random.Generator):
@@ -180,9 +192,8 @@ def init_or_inherit_factors(prev: TaskFactors | None, spec: FactorSpec,
                         for l in range(spec.num_layers)]
         biases = [ad.parameter(np.zeros(spec.widths[l + 1])) for l in range(spec.num_layers)]
     else:
-        kernels = [ad.parameter(np.array(t.data, copy=True)) for t in prev.kernels]
-        contractions = [ad.parameter(np.array(t.data, copy=True)) for t in prev.contractions]
-        biases = [ad.parameter(np.array(t.data, copy=True)) for t in prev.biases]
+        kernels, contractions, biases = ([ad.parameter(np.array(t.data, copy=True)) for t in group]
+                                         for group in prev.groups()[:3])
     head_weights, head_biases = _init_head(head_dims, rng)
     return TaskFactors(task_id, kernels, contractions, biases, head_weights, head_biases)
 

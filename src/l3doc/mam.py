@@ -7,6 +7,8 @@ task's factors (factor gaps), with per-past-task weights set by a softmax
 over the gaps themselves: the more a past task's factors differ from the
 current ones, the more optimization attends to keeping them reachable.
 Each weight family sums to 1/l_max, l_max being the factorized layer count.
+Both gaps are one layer gap (``_layer_gap``): the layer-summed squared
+distance from live tensors to frozen copies of them.
 """
 
 from __future__ import annotations
@@ -44,29 +46,24 @@ class AttentionScores:
     c_weights: np.ndarray
 
 
-def knowledge_gap_loss(kb: KnowledgeBase) -> Tensor:
-    """Sum over layers of the squared distance to the frozen snapshot.
+def _layer_gap(frozen: Sequence[np.ndarray], live: Sequence[Tensor]) -> Tensor:
+    """Sum over layers of the squared distance from each live tensor to its
+    frozen array.  Every frozen array enters as its own constant leaf, so
+    gradients reach only the live tensors."""
+    return ad.sum_all(ad.stack_scalars([ad.sq_l2_diff(ad.constant(f), t)
+                                        for f, t in zip(frozen, live)]))
 
-    Differentiable w.r.t. the live knowledge tensors only.
-    """
-    gaps = [ad.sq_l2_diff(ad.constant(prev), live) for prev, live in zip(kb.snapshot, kb.layers)]
-    return ad.sum_all(ad.stack_scalars(gaps))
+
+def knowledge_gap_loss(kb: KnowledgeBase) -> Tensor:
+    """The live knowledge base's layer gap to its frozen snapshot."""
+    return _layer_gap(kb.snapshot, kb.layers)
 
 
 def factor_gap_losses(current: TaskFactors, archive: Sequence) -> list[tuple[Tensor, Tensor]]:
-    """Per past task: (kernel gap, contraction gap), layer-summed.
-
-    Archived factors enter as constants, so gradients reach only the
-    current task's factors.
-    """
-    out = []
-    for past in archive:
-        k_terms = [ad.sq_l2_diff(ad.constant(np.asarray(pk)), ck)
-                   for pk, ck in zip(past.kernels, current.kernels)]
-        c_terms = [ad.sq_l2_diff(ad.constant(np.asarray(pc)), cc)
-                   for pc, cc in zip(past.contractions, current.contractions)]
-        out.append((ad.sum_all(ad.stack_scalars(k_terms)), ad.sum_all(ad.stack_scalars(c_terms))))
-    return out
+    """Per past task: the current factors' (kernel gap, contraction gap) to
+    that task's archived factors."""
+    return [(_layer_gap(past.kernels, current.kernels),
+             _layer_gap(past.contractions, current.contractions)) for past in archive]
 
 
 def attention_scores(k_gaps: Sequence[float], c_gaps: Sequence[float], l_max: int) -> AttentionScores:
@@ -83,7 +80,9 @@ def total_loss(lc: Tensor, kb: KnowledgeBase, current: TaskFactors,
                pinned_scores: AttentionScores | None = None) -> Tensor:
     """Training objective for the current task.
 
-    With no past tasks this *is* the classification loss (the same node).
+    Every mode trains through it.  With an empty archive (the first task,
+    and every task of the baseline modes) it *is* the classification loss,
+    the same node, and reads neither the snapshot nor the archive.
     Otherwise the knowledge and factor gaps are added, the factor gaps
     weighted by attention scores recomputed from the current values.  The
     scores act as constants ("detached"), i.e. selection weights rather

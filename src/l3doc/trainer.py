@@ -4,19 +4,20 @@ One pass over the task sequence: the first task draws fresh factors,
 later tasks inherit the previous task's kernels/contractions (heads are
 always redrawn, class counts may differ).  Every optimizer step rebuilds
 the pointwise kernels from the live knowledge base, runs the backbone,
-and minimizes either the plain classification loss (first task, and
-always in the baseline modes) or the attention-weighted total.  After a
-task finishes, its factors are frozen into an ``ArchivedTask`` appended
-to the archive (a plain list), the knowledge base is snapshotted for the
-next task's gap penalty, and every seen task is re-evaluated under the
-*current* knowledge base with its archived factors; that re-evaluation is
-where forgetting shows up.
+and minimizes ``mam.total_loss`` in every mode: the plain classification
+loss when the archive it is handed is empty, else the attention-weighted
+total.  After a task finishes, its factors are frozen into an
+``ArchivedTask`` appended to the archive (a plain list), the knowledge
+base is snapshotted for the next task's gap penalty, and every seen task
+is re-evaluated under the *current* knowledge base with its archived
+factors; that re-evaluation is where forgetting shows up.
 
 Modes: "l3doc" (full method), "finetune" (shared state, no regularizers),
 "stl" (fresh knowledge base and factors per task; its archive entries
 carry their own frozen base, so old tasks cannot degrade by construction).
-Only "l3doc" training reads cross-task state: the archive and the
-snapshot reach the loss through ``mam.total_loss`` alone.
+Only "l3doc" hands ``mam.total_loss`` the archive, so only "l3doc"
+training reads cross-task state (the snapshot and the archive, through
+``mam.knowledge_gap_loss`` and ``mam.factor_gap_losses`` alone).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .autodiff import Tensor
 from .backbone import BackboneConfig, accuracy, classification_loss, forward, one_hot
 from .datasets import TaskDataset
 from .errors import ConfigError, DataError, NumericError
-from .factorization import (FactorSpec, KnowledgeBase, TaskFactors,
+from .factorization import (FactorSpec, KnowledgeBase, TaskFactors, frozen_copy,
                             init_knowledge_base, init_or_inherit_factors,
                             reconstruct_layer_kernels)
 from .mam import MamConfig
@@ -110,28 +111,11 @@ class ArchivedTask:
     peak_accuracy: float
 
 
-def _frozen(tensors: Sequence[Tensor]) -> tuple[np.ndarray, ...]:
-    out = []
-    for t in tensors:
-        arr = np.array(t.data, copy=True)
-        arr.flags.writeable = False
-        out.append(arr)
-    return tuple(out)
-
-
 def archive_task(task_id: int, factors: TaskFactors, dataset: TaskDataset,
                  peak_accuracy: float, kb: KnowledgeBase | None = None) -> ArchivedTask:
-    return ArchivedTask(
-        task_id=task_id,
-        kernels=_frozen(factors.kernels),
-        contractions=_frozen(factors.contractions),
-        biases=_frozen(factors.biases),
-        head_weights=_frozen(factors.head_weights),
-        head_biases=_frozen(factors.head_biases),
-        kb_layers=_frozen(kb.layers) if kb is not None else None,
-        dataset=dataset,
-        peak_accuracy=peak_accuracy,
-    )
+    return ArchivedTask(task_id, *map(frozen_copy, factors.groups()),
+                        kb_layers=frozen_copy(kb.layers) if kb is not None else None,
+                        dataset=dataset, peak_accuracy=peak_accuracy)
 
 
 def _stack_split(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -147,9 +131,8 @@ def _value(x) -> np.ndarray:
 def _constant_view(factors) -> TaskFactors:
     """Constant copies of all five factor groups of live factors or of an
     archive entry, so evaluation records no backward."""
-    groups = (factors.kernels, factors.contractions, factors.biases,
-              factors.head_weights, factors.head_biases)
-    return TaskFactors(factors.task_id, *([ad.constant(_value(t)) for t in g] for g in groups))
+    return TaskFactors(factors.task_id, *([ad.constant(_value(t)) for t in group]
+                                          for group in TaskFactors.groups(factors)))
 
 
 def _eval_accuracy(pairs, layers, factors) -> float:
@@ -202,10 +185,7 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
                              factors.head_weights, factors.head_biases)
             targets = one_hot(train_labels[idx], dataset.n_classes)
             lc = classification_loss(logits, targets)
-            if cfg.mode == "l3doc":
-                total = mam_mod.total_loss(lc, kb, factors, archive, cfg.mam)
-            else:
-                total = lc
+            total = mam_mod.total_loss(lc, kb, factors, archive if cfg.mode == "l3doc" else [], cfg.mam)
             if not np.isfinite(total.data):
                 raise NumericError(
                     f"non-finite loss {float(total.data)} at task {task_id} epoch {epoch} step {b + 1}")

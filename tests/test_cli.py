@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +119,12 @@ class TestRun:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert_one_error_line(capsys, "config", "not UTF-8")
 
+    def test_config_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert_one_error_line(capsys, "config", "not valid JSON: nested too deeply")
+
     def test_out_under_a_regular_file_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_sequence", refuse_training)
         (tmp_path / "file").write_text("")
@@ -182,6 +191,26 @@ class TestRun:
         assert err.startswith(f"error: data: {bad}: ") and err.count("\n") == 1
         assert err.count(str(bad)) == 1 and message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, content", [
+        ("a.off", b"OFF\n3 1 0\n0 0 0\n1e200 0 0\n0 1e200 0\n3 0 1 2\n"),
+        ("a.pts", b"3 3\n1e308 0 0\n-1e308 0 0\n1e308 1 0\n"),
+    ], ids=["huge-off", "huge-pts"])
+    def test_overflowing_point_file_prints_one_stderr_line(self, tmp_path, name, content):
+        # numpy warnings go to the real stderr, which capsys does not see.
+        for split in ("train", "test"):
+            (tmp_path / "data" / "tetra" / split).mkdir(parents=True)
+            (tmp_path / "data" / "tetra" / split / name).write_bytes(content)
+        path = write_config(tmp_path, dataset={
+            "type": "directory", "root": str(tmp_path / "data"), "tasks": [["tetra"]], "points": 2})
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-m", "l3doc.cli", "run", "--config", str(path),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        bad = tmp_path / "data" / "tetra" / "train" / name
+        assert done.returncode == 3
+        assert done.stderr.startswith(f"error: data: {bad}: ") and done.stderr.count("\n") == 1, done.stderr
 
     def test_directory_dataset_without_root_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, dataset={"type": "directory", "tasks": [["sphere"]]})

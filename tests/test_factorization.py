@@ -183,6 +183,21 @@ class TestInitialization:
         assert kb.layers[4].shape == (64, 128, 32)
         assert [t.shape for t in kb.snapshot] == [t.shape for t in kb.layers]
 
+    def test_snapshot_refuses_writes(self):
+        kb = fz.init_knowledge_base(micro_spec(), seed=0)
+        with pytest.raises(ValueError):
+            kb.snapshot[0][0, 0, 0] = 99.0
+        kb.layers[0].data = kb.layers[0].data + 1.0
+        kb.take_snapshot()
+        with pytest.raises(ValueError):
+            kb.snapshot[0][0, 0, 0] = 99.0
+
+    def test_trainable_is_the_concatenated_groups(self):
+        f = fz.init_or_inherit_factors(None, micro_spec(), (8, 4, 2), seed=5, task_id=1)
+        fields = (f.kernels, f.contractions, f.biases, f.head_weights, f.head_biases)
+        assert f.groups() == fields  # Tensor compares by identity
+        assert f.trainable() == [t for group in fields for t in group]
+
     def test_seed_determinism(self):
         spec = micro_spec()
         a = fz.init_knowledge_base(spec, seed=11)

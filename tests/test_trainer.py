@@ -208,13 +208,13 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("mode", ["stl", "finetune", "l3doc"])
     def test_only_l3doc_reads_snapshot_or_archive(self, mode, monkeypatch):
-        # knowledge_gap_loss is the only reader of the snapshot, and the
-        # archive reaches training only through total_loss.
+        # knowledge_gap_loss reads the snapshot and factor_gap_losses the
+        # archive; nothing else in training reads either.
         def refuse(*args, **kwargs):
             raise RuntimeError("cross-task state read")
 
-        monkeypatch.setattr(mam, "total_loss", refuse)
         monkeypatch.setattr(mam, "knowledge_gap_loss", refuse)
+        monkeypatch.setattr(mam, "factor_gap_losses", refuse)
         cfg = tiny_cfg(mode=mode, epochs=2)
         if mode == "l3doc":
             with pytest.raises(RuntimeError, match="cross-task state read"):
@@ -222,6 +222,33 @@ class TestRunSequence:
         else:
             archive, log = tr.run_sequence(cfg, tiny_tasks(2))
             assert len(archive) == 2 and len(log.boundaries) == 3
+
+    @pytest.mark.parametrize("mode", ["stl", "finetune", "l3doc"])
+    def test_every_mode_trains_through_total_loss(self, mode, monkeypatch):
+        archive_sizes = []
+        real = mam.total_loss
+
+        def spy(lc, kb, current, archive, cfg, *args, **kwargs):
+            archive_sizes.append(len(archive))
+            return real(lc, kb, current, archive, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(mam, "total_loss", spy)
+        _, log = tr.run_sequence(tiny_cfg(mode=mode, epochs=2), tiny_tasks(2))
+        steps = [sum(r.steps for r in log.epochs if r.task_id == t) for t in (1, 2)]
+        second = 1 if mode == "l3doc" else 0
+        assert archive_sizes == [0] * steps[0] + [second] * steps[1]
+
+    def test_archive_entry_holds_the_frozen_factor_groups_in_order(self):
+        task = tiny_tasks(1)[0]
+        factors = tr.init_or_inherit_factors(None, tiny_cfg().spec, (8, 2), seed=0, task_id=1)
+        entry = tr.archive_task(1, factors, task, 1.0)
+        fields = (entry.kernels, entry.contractions, entry.biases,
+                  entry.head_weights, entry.head_biases)
+        assert len(factors.groups()) == len(fields)
+        for group, frozen in zip(factors.groups(), fields):
+            assert isinstance(frozen, tuple)
+            assert same_arrays([t.data for t in group], frozen)
+            assert not any(a.flags.writeable for a in frozen)
 
     def test_stl_archive_entries_carry_their_own_base(self):
         cfg = tiny_cfg(mode="stl", epochs=1)
