@@ -1,9 +1,18 @@
 """Point-cloud ingestion, preprocessing, task splits, and synthetic shapes.
 
 File formats:
-  OFF   standard Object File Format; both "OFF\\n<v f e>" and the fused
-        "OFF<v f e>" header variant are accepted, polygons beyond
-        triangles are fan-triangulated.
+  OFF   standard Object File Format, UTF-8.  A token is what ``str.split``
+        yields; ``#`` starts a comment that runs to the end of the line,
+        and blank lines are skipped.  The vertex, face and edge counts
+        follow the header on its line ("OFF v f e", or fused as
+        "OFFv f e"), or sit on the next line after a bare "OFF"; a header
+        line with one or two counts is an error.  Each of the v vertex
+        lines holds at least 3 tokens that ``float`` accepts; later tokens
+        are ignored.  Every token of each of the f face lines must be one
+        that ``int`` accepts: "k i_0 ... i_{k-1}" with k >= 3 and each
+        index in [0, v), then any further integers, which are ignored.
+        Polygons are fan-triangulated in face order: (i_0, i_j, i_{j+1})
+        for j = 1 ... k-2.
   PTS   text point clouds: line 1 is "n d", then n lines of d
         space-separated decimal floats (UTF-8, LF).
 
@@ -14,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, count
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -79,6 +90,18 @@ class SplitPlan:
 
 # ---------------------------------------------------------------- OFF files
 
+_XYZ = itemgetter(slice(3))  # a vertex line's coordinates; later tokens are ignored
+
+
+def _float_block(rows, n: int, width: int) -> np.ndarray | None:
+    """The (n, width) float64 block of the rows' tokens, converted by ``float``
+    in one pass; None when ``float`` rejects a token or the tokens run short."""
+    try:
+        return np.fromiter(map(float, chain.from_iterable(rows)), np.float64, n * width).reshape(n, width)
+    except ValueError:
+        return None
+
+
 def _utf8_text(data: bytes) -> str:
     try:
         return data.decode("utf-8")
@@ -88,64 +111,94 @@ def _utf8_text(data: bytes) -> str:
 
 
 def parse_off(text: str | bytes) -> Mesh:
-    """Parse an OFF mesh; malformed input raises DataError with a line number."""
+    """Parse an OFF mesh; malformed input raises DataError with a line number.
+
+    Each block is converted in one pass, the vertex block by ``float`` and
+    the face block by ``int``, and checked as arrays.  Only a block that
+    fails is scanned again, line by line in file order, to name the first
+    bad line.
+    """
     if isinstance(text, bytes):
         text = _utf8_text(text)
-    rows = [(i + 1, line.split("#", 1)[0].split()) for i, line in enumerate(text.splitlines())]
-    rows = [(n, toks) for n, toks in rows if toks]
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    split = list(map(str.split, lines))
+    rows = list(filter(None, split))
     if not rows:
         raise DataError("line 1: empty OFF document")
 
-    def ints(lineno, toks, k):
-        try:
-            return [int(t) for t in toks[:k]]
-        except ValueError:
-            raise DataError(f"line {lineno}: expected integers, got {toks!r}") from None
+    def lineno(r: int) -> int:  # the line number of rows[r], for an error message
+        return list(compress(count(1), split))[r]
 
-    lineno, head = rows[0]
+    head = rows[0]
     if not head[0].startswith("OFF"):
-        raise DataError(f"line {lineno}: expected OFF header, got {head[0]!r}")
+        raise DataError(f"line {lineno(0)}: expected OFF header, got {head[0]!r}")
     fused = head[0][3:]
     counts_toks = ([fused] if fused else []) + head[1:]
-    body = rows[1:]
+    at = 1  # the first row after the counts
+    if not counts_toks:  # a bare "OFF": the counts are on the next line
+        if len(rows) < 2:
+            raise DataError(f"line {lineno(0)}: missing vertex/face counts")
+        counts_toks, at = rows[1], 2
     if len(counts_toks) < 3:
-        if not body:
-            raise DataError(f"line {lineno}: missing vertex/face counts")
-        lineno, counts_toks = body[0]
-        body = body[1:]
-    if len(counts_toks) < 3:
-        raise DataError(f"line {lineno}: expected vertex, face and edge counts, got {counts_toks!r}")
-    n_v, n_f, _ = ints(lineno, counts_toks, 3)
-    if n_v < 0 or n_f < 0 or len(body) < n_v + n_f:
-        raise DataError(f"line {lineno}: counts {n_v} {n_f} exceed file contents")
+        raise DataError(f"line {lineno(at - 1)}: expected vertex, face and edge counts, got {counts_toks!r}")
+    try:
+        n_v, n_f, _ = (int(t) for t in counts_toks[:3])
+    except ValueError:
+        raise DataError(f"line {lineno(at - 1)}: expected integers, got {counts_toks!r}") from None
+    if n_v < 0 or n_f < 0 or len(rows) - at < n_v + n_f:
+        raise DataError(f"line {lineno(at - 1)}: counts {n_v} {n_f} exceed file contents")
+    v_rows, f_rows = rows[at:at + n_v], rows[at + n_v:at + n_v + n_f]
 
-    vertices = np.zeros((n_v, 3))
-    for i in range(n_v):
-        ln, toks = body[i]
-        try:
-            x, y, z = (float(t) for t in toks[:3])
-        except ValueError:
-            raise DataError(f"line {ln}: expected 3 vertex coordinates, got {toks!r}") from None
-        vertices[i] = x, y, z
+    vertices = _float_block(map(_XYZ, v_rows), n_v, 3)
+    if vertices is None:
+        for r, toks in enumerate(v_rows, at):
+            if _float_block([toks[:3]], 1, 3) is None:
+                raise DataError(f"line {lineno(r)}: expected 3 vertex coordinates, got {toks!r}")
     bad = ~np.isfinite(vertices).all(axis=1)
     if bad.any():
-        ln, toks = body[int(bad.argmax())]
-        raise DataError(f"line {ln}: non-finite vertex coordinate in {toks!r}")
+        i = int(bad.argmax())
+        raise DataError(f"line {lineno(at + i)}: non-finite vertex coordinate in {v_rows[i]!r}")
 
-    faces = []
-    for i in range(n_f):
-        ln, toks = body[n_v + i]
-        vals = ints(ln, toks, len(toks))
-        k = vals[0]
-        if k < 3 or len(vals) < 1 + k:
-            raise DataError(f"line {ln}: face needs >= 3 vertex indices, got {toks!r}")
-        idx = vals[1:1 + k]
-        for j in idx:
-            if not 0 <= j < n_v:
-                raise DataError(f"line {ln}: face index {j} out of range [0, {n_v})")
-        for a, b in zip(idx[1:], idx[2:]):  # fan triangulation
-            faces.append((idx[0], a, b))
-    return Mesh(vertices=vertices, faces=np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+    faces = _fan_triangles(f_rows, n_v)
+    if faces is None:
+        for r, toks in enumerate(f_rows, at + n_v):
+            try:
+                vals = [int(t) for t in toks]
+            except ValueError:
+                raise DataError(f"line {lineno(r)}: expected integers, got {toks!r}") from None
+            k = vals[0]
+            if k < 3 or len(vals) < 1 + k:
+                raise DataError(f"line {lineno(r)}: face needs >= 3 vertex indices, got {toks!r}")
+            for i in vals[1:1 + k]:
+                if not 0 <= i < n_v:
+                    raise DataError(f"line {lineno(r)}: face index {i} out of range [0, {n_v})")
+        # Every face line is good, so what overflowed int64 was an extra
+        # token after a face's indices: triangulate without the extras.
+        faces = _fan_triangles([toks[:1 + int(toks[0])] for toks in f_rows], n_v)
+    return Mesh(vertices=vertices, faces=faces)
+
+
+def _fan_triangles(rows: list[list[str]], n_v: int) -> np.ndarray | None:
+    """The (-1, 3) int64 fan triangles of face rows "k i_0 ... i_{k-1} [extra]"
+    in row order, (i_0, i_j, i_{j+1}) for j = 1 ... k-2; None when ``int``
+    rejects a token or it overflows int64, when k < 3 or a row holds fewer
+    than k indices, or when a triangle's index is outside [0, n_v)."""
+    lens = np.fromiter(map(len, rows), np.int64, len(rows))
+    try:
+        vals = np.fromiter(map(int, chain.from_iterable(rows)), np.int64, int(lens.sum()))
+    except (ValueError, OverflowError):
+        return None
+    starts = np.cumsum(lens) - lens
+    k = vals[starts]
+    if not ((k >= 3) & (k < lens)).all():
+        return None
+    n_tri = k - 2
+    first = np.repeat(starts + 1, n_tri)  # where each triangle's i_0 sits in vals
+    j = np.arange(len(first)) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri) + 1
+    faces = vals[np.stack([first, first + j, first + j + 1], axis=1)]
+    return None if ((faces < 0) | (faces >= n_v)).any() else faces
 
 
 def serialize_off(mesh: Mesh) -> str:
@@ -415,16 +468,20 @@ def read_pts(data: bytes) -> np.ndarray:
         n, d = (int(t) for t in lines[0].split())
     except ValueError:
         raise DataError(f"line 1: expected 'n d' header, got {lines[0]!r}") from None
+    if n < 1:
+        raise DataError(f"line 1: point count must be >= 1, got {n}")
     if d < 1:
         raise DataError(f"line 1: point dimension must be >= 1, got {d}")
     if len(lines) < 1 + n:
         raise DataError(f"header promises {n} points, file has {len(lines) - 1}")
-    try:
-        pts = np.array([[float(t) for t in lines[1 + i].split()] for i in range(n)])
-    except ValueError as e:
-        raise DataError(f"bad float in point block: {e}") from None
-    if pts.shape != (n, d):
-        raise DataError(f"point block shape {pts.shape} != header ({n}, {d})")
+    rows = list(map(str.split, lines[1:1 + n]))
+    pts = _float_block(rows, n, d) if all(len(toks) == d for toks in rows) else None
+    if pts is None:
+        for ln, toks in enumerate(rows, start=2):
+            if len(toks) != d:
+                raise DataError(f"line {ln}: expected {d} coordinates, got {len(toks)}")
+            if _float_block([toks], 1, d) is None:
+                raise DataError(f"line {ln}: expected floats, got {toks!r}")
     bad = ~np.isfinite(pts).all(axis=1)
     if bad.any():
         raise DataError(f"line {2 + int(bad.argmax())}: non-finite coordinate")

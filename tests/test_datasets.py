@@ -30,6 +30,9 @@ TETRA_FUSED = TETRA_OFF.replace("OFF\n4 4 0", "OFF4 4 0")
 # Tokens an OFF document is made of, plus near misses.
 OFF_TOKENS = st.sampled_from(["OFF", "OFF3", "0", "1", "2", "3", "4", "-1", "1.5", "1e400",
                               "nan", "x", "#", ""])
+# OFF-shaped documents from those tokens.
+OFF_TOKEN_DOCUMENTS = st.lists(st.lists(OFF_TOKENS, max_size=5), max_size=8).map(
+    lambda rows: "\n".join(" ".join(r) for r in rows))
 OFF_DOCUMENTS = st.sampled_from([TETRA_OFF, TETRA_FUSED]).map(str.encode)
 # Valid OFF documents with a few bytes spliced in somewhere.
 OFF_SPLICES = st.tuples(OFF_DOCUMENTS, st.binary(max_size=3), st.integers(0, 60)).map(
@@ -40,6 +43,48 @@ PTS_DOCUMENTS = st.lists(st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "0.
     lambda rows: "\n".join(" ".join(r) for r in rows).encode())
 
 ZERO_AREA_OFF = b"OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n"
+
+
+# Tokens of near-valid OFF documents, and the near misses a noisy document
+# mixes in: tokens float() or int() reject or read differently, indices out
+# of range or beyond int64, short rows and wrong counts.
+GOOD_COORDS = ["0", "1", "-2.5", "1e-3", "0.30000000000000004", "-1.3856995920886337", ".5", "7."]
+BAD_COORDS = ["nan", "1e400", "-inf", "1_0", "+1", "x", "0x1", "1.2.3"]
+BAD_INDICES = ["-1", "1_0", "+1", "x", "1.0", str(2 ** 63), str(-2 ** 63 - 1), "9" * 30]
+
+
+@st.composite
+def near_valid_off(draw):
+    """A valid OFF document, or a noisy one a few tokens or lines away from
+    valid: polygons with 3 to 6 corners, extra vertex and face tokens (an
+    int64-overflowing one included), comments, blank lines, CRLF and the
+    header forms."""
+    noisy = draw(st.booleans())
+    n_v = draw(st.integers(0, 6))
+    coord = st.sampled_from(GOOD_COORDS * 6 + BAD_COORDS if noisy else GOOD_COORDS)
+    width = st.sampled_from([3] * 8 + [4, 5] + ([2] if noisy else []))
+    index = st.integers(0, max(n_v - 1, 0)).map(str)
+    if noisy:
+        index = index | st.sampled_from(BAD_INDICES + [str(n_v)])
+    lines = [" ".join(draw(coord) for _ in range(draw(width))) for _ in range(n_v)]
+    n_f = draw(st.integers(0, 5))
+    for _ in range(n_f):
+        k = draw(st.sampled_from([3, 3, 3, 4, 5, 6] + ([2, -1, 2 ** 63] if noisy else [])))
+        n_idx = max(0, min(k, 6) - draw(st.sampled_from([0] * 6 + ([1] if noisy else []))))
+        toks = [str(k)] + [draw(index) for _ in range(n_idx)]
+        toks += draw(st.lists(st.sampled_from(["0", "7", "-3", str(2 ** 64)] + (["x"] if noisy else [])),
+                              max_size=2))
+        lines.append(" ".join(toks))
+    miss = st.sampled_from([0] * 8 + ([-1, 1] if noisy else []))
+    header = draw(st.sampled_from(["OFF\n{} {} 0", "OFF{} {} 0", "OFF {} {} 0"]
+                                  + (["OFF {} {}"] if noisy else [])))
+    lines = header.format(n_v + draw(miss), n_f + draw(miss)).split("\n") + lines
+    for _ in range(draw(st.integers(0, 2))):  # blank and comment lines anywhere
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "# note", "\t"])))
+    if draw(st.booleans()):  # a trailing comment
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] += draw(st.sampled_from([" # 1 2 3", "#x"]))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
 def fps_row_reduction(pts, k, start_index=0):
@@ -55,6 +100,68 @@ def fps_row_reduction(pts, k, start_index=0):
         dist = np.minimum(dist, np.sum((pts - pts[nxt]) ** 2, axis=1))
         dist[nxt] = -1.0
     return chosen
+
+
+def parse_off_oracle(text):
+    """OFF parsing one line at a time: the formulation whose meshes and
+    DataError messages the library's bulk parser must reproduce."""
+    if isinstance(text, bytes):
+        text = ds._utf8_text(text)
+    rows = [(i + 1, line.split("#", 1)[0].split()) for i, line in enumerate(text.splitlines())]
+    rows = [(n, toks) for n, toks in rows if toks]
+    if not rows:
+        raise DataError("line 1: empty OFF document")
+
+    def ints(lineno, toks, k):
+        try:
+            return [int(t) for t in toks[:k]]
+        except ValueError:
+            raise DataError(f"line {lineno}: expected integers, got {toks!r}") from None
+
+    lineno, head = rows[0]
+    if not head[0].startswith("OFF"):
+        raise DataError(f"line {lineno}: expected OFF header, got {head[0]!r}")
+    fused = head[0][3:]
+    counts_toks = ([fused] if fused else []) + head[1:]
+    body = rows[1:]
+    if not counts_toks:  # a bare "OFF": the counts are on the next line
+        if not body:
+            raise DataError(f"line {lineno}: missing vertex/face counts")
+        lineno, counts_toks = body[0]
+        body = body[1:]
+    if len(counts_toks) < 3:
+        raise DataError(f"line {lineno}: expected vertex, face and edge counts, got {counts_toks!r}")
+    n_v, n_f, _ = ints(lineno, counts_toks, 3)
+    if n_v < 0 or n_f < 0 or len(body) < n_v + n_f:
+        raise DataError(f"line {lineno}: counts {n_v} {n_f} exceed file contents")
+
+    vertices = np.zeros((n_v, 3))
+    for i in range(n_v):
+        ln, toks = body[i]
+        try:
+            x, y, z = (float(t) for t in toks[:3])
+        except ValueError:
+            raise DataError(f"line {ln}: expected 3 vertex coordinates, got {toks!r}") from None
+        vertices[i] = x, y, z
+    bad = ~np.isfinite(vertices).all(axis=1)
+    if bad.any():
+        ln, toks = body[int(bad.argmax())]
+        raise DataError(f"line {ln}: non-finite vertex coordinate in {toks!r}")
+
+    faces = []
+    for i in range(n_f):
+        ln, toks = body[n_v + i]
+        vals = ints(ln, toks, len(toks))
+        k = vals[0]
+        if k < 3 or len(vals) < 1 + k:
+            raise DataError(f"line {ln}: face needs >= 3 vertex indices, got {toks!r}")
+        idx = vals[1:1 + k]
+        for j in idx:
+            if not 0 <= j < n_v:
+                raise DataError(f"line {ln}: face index {j} out of range [0, {n_v})")
+        for a, b in zip(idx[1:], idx[2:]):  # fan triangulation
+            faces.append((idx[0], a, b))
+    return ds.Mesh(vertices=vertices, faces=np.asarray(faces, dtype=np.int64).reshape(-1, 3))
 
 
 def assert_valid_mesh(mesh):
@@ -120,9 +227,46 @@ class TestParseOff:
         with pytest.raises(DataError, match="line 4: not UTF-8"):
             ds.parse_off(TETRA_OFF.encode().replace(b"1.0 0.0 0.0", b"1.0 \xff 0.0", 1))
 
+    @pytest.mark.parametrize("header", ["OFF 3 1", "OFF3 1"])
+    def test_short_header_counts_do_not_borrow_the_next_line(self, header):
+        # The first vertex line used to be read as the counts.
+        text = f"{header}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+        with pytest.raises(DataError, match=r"^line 1: expected vertex, face and edge counts, got \['3', '1'\]$"):
+            ds.parse_off(text)
+
+    def test_bad_vertex_token_outranks_earlier_non_finite_line(self):
+        text = "OFF\n3 1 0\n0 0 0\nnan 0 0\n0 x 0\n3 0 1 2\n"
+        with pytest.raises(DataError, match=r"^line 5: expected 3 vertex coordinates"):
+            ds.parse_off(text)
+
+    def test_face_lines_fail_in_file_order(self):
+        # Line 7's index is out of range; line 8 also holds a non-integer.
+        text = "OFF\n3 3 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1 3\n3 0 x 2\n"
+        with pytest.raises(DataError, match=r"^line 7: face index 3 out of range \[0, 3\)$"):
+            ds.parse_off(text)
+
+    @pytest.mark.parametrize("extra", [str(2 ** 63), str(-2 ** 64), "9" * 30])
+    def test_extra_face_token_beyond_int64_is_ignored(self, extra):
+        mesh = ds.parse_off(f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 {extra}\n")
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+        assert mesh.faces.dtype == np.int64
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(near_valid_off(), near_valid_off().map(str.encode), OFF_SPLICES, OFF_TOKEN_DOCUMENTS))
+    def test_same_mesh_or_message_as_line_oracle(self, text):
+        try:
+            want = parse_off_oracle(text)
+        except DataError as e:
+            with pytest.raises(DataError) as info:
+                ds.parse_off(text)
+            assert str(info.value) == str(e)
+            return
+        got = ds.parse_off(text)
+        for a, b in ((got.vertices, want.vertices), (got.faces, want.faces)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.text(), st.lists(st.lists(OFF_TOKENS, max_size=5), max_size=8)
-                     .map(lambda rows: "\n".join(" ".join(r) for r in rows))))
+    @given(st.one_of(st.text(), OFF_TOKEN_DOCUMENTS))
     def test_any_text_parses_or_raises_data_error(self, text):
         try:
             mesh = ds.parse_off(text)
@@ -385,6 +529,20 @@ class TestFileIO:
     def test_pts_non_finite_names_its_line(self, row):
         with pytest.raises(DataError, match="line 4: non-finite"):
             ds.read_pts(f"3 3\n0 0 0\n1 1 1\n{row}\n".encode())
+
+    @pytest.mark.parametrize("data, message", [
+        (b"2 3\n1 2 3\n1 2\n", "line 3: expected 3 coordinates, got 2"),
+        (b"2 3\n1 2\n1 2\n", "line 2: expected 3 coordinates, got 2"),
+        (b"2 3\n1 2 3 4\n1 2 3\n", "line 2: expected 3 coordinates, got 4"),
+        (b"2 3\n1 2 3\n1 x 3\n", "line 3: expected floats, got ['1', 'x', '3']"),
+        (b"2 3\n1 _ 3\n1 2\n", "line 2: expected floats, got ['1', '_', '3']"),
+        (b"0 3\n", "line 1: point count must be >= 1, got 0"),
+        (b"-1 3\n1 2 3\n", "line 1: point count must be >= 1, got -1"),
+    ])
+    def test_pts_bad_point_block_names_its_line(self, data, message):
+        with pytest.raises(DataError) as info:
+            ds.read_pts(data)
+        assert str(info.value) == message
 
     def test_pts_non_utf8_names_its_line(self):
         with pytest.raises(DataError, match="^line 3: not UTF-8"):
