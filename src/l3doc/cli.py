@@ -6,7 +6,9 @@ Subcommands:
   gen-synth     write a synthetic PTS dataset in the directory layout
   eval          recompute summary.csv from metrics.jsonl, verify it, and
                 print the run fingerprint (a digest of every deterministic
-                field of metrics.jsonl)
+                field of metrics.jsonl) and the accuracy matrix: one row per
+                task boundary, one column per task (blank where the log
+                holds no record)
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure,
 5 eval mismatch.  A config file that is not UTF-8 and an output path that
@@ -262,6 +264,12 @@ def cmd_eval(args) -> int:
         return 5
     print(f"summary.csv verified against metrics.jsonl in {run_dir}")
     print(f"fingerprint {log.fingerprint()}")
+    ids = log.task_ids()
+    print(("accuracy " + "".join(f"T{t}".rjust(8) for t in ids)).rstrip())
+    for after in ids:
+        row = log.boundary_accuracies(after)
+        cells = "".join(f"{row[t]:8.3f}" if t in row else " " * 8 for t in ids)
+        print(f"after {after:<3}{cells}".rstrip())
     return 0
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -15,9 +16,11 @@ from l3doc import cli
 from l3doc.datasets import DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, write_dataset_dir
 from l3doc.errors import ConfigError, DataError
 from l3doc.metrics import parse_jsonl, summary_csv_bytes, summary_rows
-from l3doc.trainer import ExperimentConfig
+from l3doc.trainer import MODES, ExperimentConfig, run_sequence
+from test_acceptance import DESK_SEEDS, _desk_config, _desk_tasks
 
 ROOT = Path(__file__).resolve().parent.parent
+DESK_CONFIG = ROOT / "scripts" / "desk_config.json"
 
 _JSON_VALUES = st.one_of(st.integers(-2, 3), st.integers(10 ** 300, 10 ** 400), st.floats(), st.booleans(),
                          st.none(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2))
@@ -58,6 +61,10 @@ def write_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def read_desk_config() -> dict:
+    return json.loads(DESK_CONFIG.read_text(encoding="utf-8"))
 
 
 def assert_one_error_line(capsys, kind, *words):
@@ -277,7 +284,7 @@ class TestConfigTypes:
 
     @staticmethod
     def _assert_exits_2(tmp_path, capsys, change):
-        raw = json.loads((ROOT / "scripts" / "desk_config.json").read_text(encoding="utf-8"))
+        raw = read_desk_config()
         raw.update(change)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -307,6 +314,23 @@ class TestSingleDefinitions:
     def test_minimal_dataset_resolves_with_every_default(self, dataset, defaults):
         resolved = cli.resolve_config({"schema_version": 1, "dataset": dataset}, {})
         assert resolved["dataset"] == {**defaults, **dataset}
+
+    @pytest.mark.parametrize("seed", DESK_SEEDS)
+    def test_shipped_desk_config_is_the_acceptance_desk_experiment(self, seed):
+        # scripts/desk_config.json is the experiment acceptance criterion 7 gates.
+        raw = read_desk_config()
+        want_tasks = _desk_tasks(seed)
+        for mode in MODES:
+            resolved = cli.resolve_config(raw, {"mode": mode, "seed": seed})
+            assert cli.experiment_from_resolved(resolved) == _desk_config(mode, seed)
+            tasks = cli.build_tasks(resolved)
+            assert len(tasks) == len(want_tasks)
+            for got, want in zip(tasks, want_tasks):
+                assert (got.task_id, got.class_names) == (want.task_id, want.class_names)
+                for split_got, split_want in ((got.train, want.train), (got.test, want.test)):
+                    assert [label for _, label in split_got] == [label for _, label in split_want]
+                    for (a, _), (b, _) in zip(split_got, split_want):
+                        assert (a.points.shape, a.points.tobytes()) == (b.points.shape, b.points.tobytes())
 
     def test_readme_config_blocks_show_the_real_defaults(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -468,6 +492,50 @@ class TestEval:
         assert cli.main(["eval", "--run", str(out)]) == 0
         want = parse_jsonl((out / "metrics.jsonl").read_bytes()).fingerprint()
         assert f"fingerprint {want}" in capsys.readouterr().out.splitlines()
+
+    @staticmethod
+    def _printed_matrix(out: str, ids) -> dict[int, dict[int, str]]:
+        """The accuracy matrix `eval` printed: per boundary row, the
+        non-blank cells by task."""
+        rows = {}
+        for line in out.splitlines():
+            if line.startswith("after "):
+                cells = (line[9 + 8 * i:17 + 8 * i].strip() for i in range(len(ids)))
+                rows[int(line[6:9])] = {t: cell for t, cell in zip(ids, cells) if cell}
+        return rows
+
+    def test_prints_the_desk_runs_fingerprint_and_accuracy_matrix(self, tmp_path, capsys):
+        path = tmp_path / "desk.json"
+        path.write_text(json.dumps({**read_desk_config(), "epochs": 1}))
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--run", str(out)]) == 0
+        printed = capsys.readouterr().out
+        _, log = run_sequence(dataclasses.replace(_desk_config("l3doc", 0), epochs=1), _desk_tasks(0))
+        assert f"fingerprint {log.fingerprint()}" in printed.splitlines()
+        ids = log.task_ids()
+        assert self._printed_matrix(printed, ids) == {
+            after: {t: f"{acc:.3f}" for t, acc in log.boundary_accuracies(after).items()}
+            for after in ids}
+
+    def test_matrix_leaves_a_cell_without_a_record_blank(self, tmp_path, capsys):
+        epochs = [{"kind": "epoch", "task": t, "epoch": 1, "loss": 0.5, "test_acc": 0.5,
+                   "wall_ms": 1.0, "steps": 1} for t in (1, 2, 3)]
+        # After task 3 the log holds no record for task 1.
+        accs = {(1, 1): 0.5, (2, 1): 0.25, (2, 2): 0.75, (3, 2): 0.625, (3, 3): 1.0}
+        bounds = [{"kind": "boundary", "after_task": after, "task": t, "test_acc": acc}
+                  for (after, t), acc in accs.items()]
+        data = "\n".join(map(json.dumps, epochs + bounds)).encode()
+        (tmp_path / "metrics.jsonl").write_bytes(data + b"\n")
+        (tmp_path / "summary.csv").write_bytes(summary_csv_bytes(summary_rows(parse_jsonl(data))))
+        assert cli.main(["eval", "--run", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "accuracy       T1      T2      T3",
+            "after 1     0.500",
+            "after 2     0.250   0.750",
+            "after 3             0.625   1.000",
+        ]
 
     def test_tampered_jsonl_exits_5(self, tmp_path, capsys):
         out = self._run(tmp_path)
