@@ -504,15 +504,17 @@ class TestEval:
                 rows[int(line[6:9])] = {t: cell for t, cell in zip(ids, cells) if cell}
         return rows
 
-    def test_prints_the_desk_runs_fingerprint_and_accuracy_matrix(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_prints_the_desk_runs_fingerprint_and_accuracy_matrix(self, tmp_path, capsys, mode):
+        # The README's desk loop: `run --mode M --seed S`, then `eval`.
         path = tmp_path / "desk.json"
         path.write_text(json.dumps({**read_desk_config(), "epochs": 1}))
         out = tmp_path / "run"
-        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", str(path), "--mode", mode, "--seed", "0", "--out", str(out)]) == 0
         capsys.readouterr()
         assert cli.main(["eval", "--run", str(out)]) == 0
         printed = capsys.readouterr().out
-        _, log = run_sequence(dataclasses.replace(_desk_config("l3doc", 0), epochs=1), _desk_tasks(0))
+        _, log = run_sequence(dataclasses.replace(_desk_config(mode, 0), epochs=1), _desk_tasks(0))
         assert f"fingerprint {log.fingerprint()}" in printed.splitlines()
         ids = log.task_ids()
         assert self._printed_matrix(printed, ids) == {
