@@ -3,14 +3,15 @@
 A minimal closure tape covering the operations the lifelong point-cloud
 classifier composes its graphs from:
 
-- ``relu(x, w, b)``: one whole pointwise layer, ``max(x @ w + b, 0)``, as a
-  single node (pointwise layers 1 to L-1 and the head's hidden layers);
-- ``max_pool_points(x, w, b)``: the last pointwise layer fused with the
-  max over the point axis.  It multiplies a few whole objects at a time
-  and keeps, per output column, the maximum and the first point that
-  attains it (PointNet's critical point), so the (batch, n_pts, w_last)
-  activation is never built at once and backward touches one point per
-  column;
+- ``relu(x, w, b)``: one dense layer, ``max(x @ w + b, 0)``, as a single
+  node (the head's hidden layers);
+- ``max_pool_points(x, ws, bs)``: the whole shared pointwise MLP fused with
+  the max over the point axis.  It runs a few whole objects at a time
+  through every layer and keeps, per output column, the maximum and the
+  first point that attains it (PointNet's critical point), so no layer's
+  (batch, n_pts, w) activation is built at once.  Only the critical
+  points reach the gradient, so forward keeps their input and hidden rows
+  alone, and backward runs the hidden layers over those rows;
 - general algebra (``matmul``/``add``/``scale``, ``reshape``, ``sum_all``,
   ``stack_scalars``), numerically stable ``softmax`` and squared-L2
   penalties;
@@ -20,7 +21,7 @@ classifier composes its graphs from:
   output, never the padded scatter buffer).
 
 Both fused ops let NaN through, so a NaN activation reaches the loss check.
-They keep the names of the unary ops they replace because the benchmark's
+They keep the names of the ops they replace because the benchmark's
 tracer (bench/tracing.py) wraps ops by name, so every node the package
 builds stays traced.  ``mul``, ``log`` and ``mean`` are not called by the
 package; the tracer still wraps them by name.
@@ -65,9 +66,10 @@ __all__ = [
 ]
 
 
-# Activations max_pool_points multiplies at once (8 MB): as many whole
-# objects as fit, and never less than one object, whatever its size (one
-# 1024-point object of the widest PointNet layer fills it).
+# Activations of its widest layer that max_pool_points builds at once
+# (8 MB): as many whole objects as fit, and never less than one object,
+# whatever its size (one 1024-point object of the widest PointNet layer
+# fills it).
 _POOL_CHUNK = 1 << 20
 
 
@@ -426,56 +428,95 @@ def transposed_conv2d(x, k) -> Tensor:
     return _make(out_data, (x, k), "transposed_conv2d", bw)
 
 
-def max_pool_points(x, w, b) -> Tensor:
-    """The last pointwise layer and the max over points, as one node.
+def max_pool_points(x, ws, bs) -> Tensor:
+    """The whole shared pointwise MLP and the max over points, as one node.
 
-    ``x`` is (n_pts, k) or (batch, n_pts, k), ``w`` a (k, f) matrix and
-    ``b`` an (f,) bias; the result, (f,) or (batch, f), is
-    ``max(x @ w + b, 0)`` maximised over the point axis.  Whole objects
-    are multiplied in chunks of at most ``_POOL_CHUNK`` activations (one
-    object if it alone is larger), keeping each column's maximum and the
-    first point that attains it, so the (batch, n_pts, f) activation is
-    never built for more than one chunk.  Each output column
-    depends only on that point (PointNet's critical point), so backward
-    gathers the weight gradient from, and scatters the input gradient to,
-    one point per column; ties go to the lowest index.  A NaN is taken as
-    the maximum, so it reaches the loss.
+    ``x`` is (n_pts, k) or (batch, n_pts, k); ``ws`` are the layers' (k, w1),
+    (w1, w2), ... matrices and ``bs`` their biases.  The result, (f,) or
+    (batch, f) for the last width f, is the ReLU MLP applied to every point
+    and maximised over the point axis.  Whole objects run through every
+    layer in chunks of at most ``_POOL_CHUNK`` activations of the widest
+    layer (one object if it alone is larger), keeping each output column's
+    maximum and the first point that attains it, so no layer's
+    (batch, n_pts, w) activation is built for more than one chunk.
+
+    Each output column depends only on that point (PointNet's critical
+    point), and every other point's row of every layer's gradient is zero.
+    So when a gradient will flow, forward keeps the input and hidden rows
+    of the critical points alone, and backward runs the hidden layers over
+    those rows; ties go to the lowest index.  A NaN is taken as the
+    maximum, so it reaches the loss.
     """
-    x, w, b = _lift(x), _lift(w), _lift(b)
-    _dense_shapes("max_pool_points", x, w, b)
-    if x.data.ndim > 3 or x.data.shape[-2] < 1:
-        raise _bad_shapes("max_pool_points", x.shape, w.shape, b.shape)
+    x, ws, bs = _lift(x), [_lift(w) for w in ws], [_lift(b) for b in bs]
+    shapes = [x.shape, *(w.shape for w in ws), *(b.shape for b in bs)]
+    if not ws or len(ws) != len(bs) or x.data.ndim not in (2, 3) or x.data.shape[-2] < 1:
+        raise _bad_shapes("max_pool_points", *shapes)
+    f = x.data.shape[-1]
+    for w, b in zip(ws, bs):
+        if w.data.ndim != 2 or w.data.shape[0] != f or b.data.shape != w.data.shape[1:]:
+            raise _bad_shapes("max_pool_points", *shapes)
+        f = w.data.shape[1]
     xs = x.data.reshape(-1, *x.data.shape[-2:])
     nb, n, k = xs.shape
-    f = w.data.shape[1]
-    objs = max(1, _POOL_CHUNK // (n * f))
+    objs = max(1, _POOL_CHUNK // (n * max(w.data.shape[1] for w in ws)))
+    keep = any(t.requires_grad for t in (x, *ws, *bs))
     top = np.empty((nb, f))
-    idx = np.empty((nb, f), dtype=np.intp)
+    # Per critical row (in flat batch order): its index and, for each layer,
+    # its input; inverse maps each (object, column) to its critical row.
+    rows, kept = [], [[] for _ in ws]
+    inverse = np.empty((nb, f), dtype=np.intp)
+    n_kept = 0
     for o in range(0, nb, objs):
         span = slice(o, o + objs)
+        hs = [xs[span].reshape(-1, k)]
+        for w, b in zip(ws[:-1], bs[:-1]):
+            h = hs[-1] @ w.data
+            h += b.data
+            np.maximum(h, 0.0, out=h)
+            # Over constants, only the layer being built and its input live.
+            hs = [*hs, h] if keep else [h]
         # (f, objects, points) layout, so the max runs along contiguous memory.
-        z = (w.data.T @ xs[span].reshape(-1, k).T).reshape(f, -1, n)
+        z = (ws[-1].data.T @ hs[-1].T).reshape(f, -1, n)
         first = np.argmax(z, axis=-1)
-        idx[span] = first.T
         top[span] = np.take_along_axis(z, first[..., None], axis=-1)[..., 0].T
-    top += b.data
+        if keep:
+            local, inv = np.unique(first.T + np.arange(first.shape[1])[:, None] * n,
+                                   return_inverse=True)
+            inverse[span] = inv.reshape(-1, f) + n_kept
+            n_kept += local.size
+            rows.append(local + o * n)
+            for store, h in zip(kept, hs):
+                store.append(h[local])
+    top += bs[-1].data
     np.maximum(top, 0.0, out=top)
+    if keep:
+        rows, ins = np.concatenate(rows), [np.concatenate(store) for store in kept]
 
     def bw(g):
         gz = g.reshape(nb, f) * (top > 0.0)
-        _accum(b, gz.sum(axis=0))
-        if w.requires_grad:
-            critical = xs[np.arange(nb)[:, None], idx]
-            _accum(w, np.einsum("bfk,bf->kf", critical, gz))
+        _accum(bs[-1], gz.sum(axis=0))
+        if ws[-1].requires_grad:
+            _accum(ws[-1], np.einsum("bfk,bf->kf", ins[-1][inverse], gz))
+        if len(ws) == 1 and not x.requires_grad:
+            return
+        w_last = ws[-1].data
+        kl = w_last.shape[0]
+        # One bincount over flat element indices sums every column's share
+        # into its critical row, in column order.
+        flat = (inverse * kl)[..., None] + np.arange(kl)
+        gh = np.bincount(flat.ravel(), weights=(gz[..., None] * w_last.T).ravel(),
+                         minlength=n_kept * kl).reshape(n_kept, kl)
+        for i in reversed(range(len(ws) - 1)):
+            gh *= ins[i + 1] > 0.0
+            _accum(bs[i], gh.sum(axis=0))
+            _accum(ws[i], ins[i].T @ gh)
+            gh = gh @ ws[i].data.T
         if x.requires_grad:
-            # One bincount over flat element indices sums every column's
-            # share into its point, in column order.
-            flat = ((np.arange(nb)[:, None] * n + idx) * k)[..., None] + np.arange(k)
-            gx = np.bincount(flat.ravel(), weights=(gz[..., None] * w.data.T).ravel(),
-                             minlength=nb * n * k)
+            gx = np.zeros((nb * n, k))
+            gx[rows] = gh
             _accum(x, gx.reshape(x.data.shape))
 
-    return _make(top.reshape(x.data.shape[:-2] + (f,)), (x, w, b), "max_pool_points", bw)
+    return _make(top.reshape(x.data.shape[:-2] + (f,)), (x, *ws, *bs), "max_pool_points", bw)
 
 
 def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

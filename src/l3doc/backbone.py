@@ -3,10 +3,11 @@
 Every point passes independently through a shared MLP whose per-layer
 weights are the (1,1,w_in,w_out) kernels handed in by the factorization;
 a global max over the point axis pools each object into one feature
-vector, and a small per-task head maps it to class scores.  Each layer is
-one graph node: ``ad.relu`` for the hidden pointwise and head layers, and
-``ad.max_pool_points`` for the last pointwise layer together with the
-pool, which never builds that layer's (b, n_pts, w_last) activation.
+vector, and a small per-task head maps it to class scores.  The shared
+MLP and the pool are one graph node, ``ad.max_pool_points``, which never
+builds a layer's (b, n_pts, w) activation for the whole batch and
+backpropagates over the critical points only; ``ad.relu`` is each hidden
+layer of the head.
 
 Points are canonically ordered (lexicographic sort) before the MLP:
 mathematically a no-op for this architecture, it guarantees the logits
@@ -64,9 +65,7 @@ def forward(batch: np.ndarray, kernels: Sequence[Tensor], biases: Sequence[Tenso
             raise ShapeError(f"forward: layer {i + 1} kernel {k.shape} breaks width chain {chain}")
     x = ad.constant(np.stack([canonical_order(obj) for obj in batch]))
     ws = [ad.reshape(k, (int(k.shape[2]), int(k.shape[3]))) for k in kernels]
-    for w, b in zip(ws[:-1], biases[:-1]):
-        x = ad.relu(x, w, b)
-    h = ad.max_pool_points(x, ws[-1], biases[-1])
+    h = ad.max_pool_points(x, ws, biases)
     for w, b in zip(head_weights[:-1], head_biases[:-1]):
         h = ad.relu(h, w, b)
     return ad.add(ad.matmul(h, head_weights[-1]), head_biases[-1])

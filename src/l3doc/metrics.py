@@ -182,7 +182,11 @@ def parse_jsonl(data: str | bytes) -> RunLog:
 def summary_rows(log: RunLog) -> list[dict]:
     rows = []
     peaks = log.peaks()
-    for t in log.task_ids():
+    ids = log.task_ids()
+    unknown = sorted({r.after_task for r in log.boundaries}.difference(ids))
+    if unknown:
+        raise DataError(f"boundary after task {unknown[0]}: the log holds no epoch of that task")
+    for t in ids:
         trace = log.trace(t)
         at_boundary = log.boundary_accuracies(t)
         seen = sorted(at_boundary)

@@ -112,75 +112,127 @@ class TestTransposedConv2d:
         assert np.all(gk[h:] == 0.0) and np.all(gk[:, w:] == 0.0)
 
 
-def pool_reference(x, w, b, g):
-    """max_pool_points and its gradients from the full activation block."""
-    z = x @ w + b
-    a = np.maximum(z, 0.0)
-    first = np.argmax(a, axis=-2)[..., None, :]
-    ga = np.zeros_like(a)
+def mlp_reference(x, ws, bs, g):
+    """max_pool_points and its gradients from the full activation blocks of
+    every layer: the pooled output, the input gradient, then each layer's
+    weight gradient and each layer's bias gradient."""
+    hs, zs = [x], []
+    for w, b in zip(ws, bs):
+        zs.append(hs[-1] @ w + b)
+        hs.append(np.maximum(zs[-1], 0.0))
+    first = np.argmax(hs[-1], axis=-2)[..., None, :]
+    ga = np.zeros_like(hs[-1])
     np.put_along_axis(ga, first, g[..., None, :], axis=-2)
-    ga *= z > 0.0
-    gw = x.reshape(-1, x.shape[-1]).T @ ga.reshape(-1, ga.shape[-1])
-    return a.max(axis=-2), ga @ w.T, gw, ga.reshape(-1, ga.shape[-1]).sum(axis=0)
+    gws, gbs = [], []
+    for h, z, w in zip(hs[-2::-1], zs[::-1], ws[::-1]):
+        ga = ga * (z > 0.0)
+        flat = ga.reshape(-1, ga.shape[-1])
+        gws.insert(0, h.reshape(-1, h.shape[-1]).T @ flat)
+        gbs.insert(0, flat.sum(axis=0))
+        ga = ga @ w.T
+    return [hs[-1].max(axis=-2), ga, *gws, *gbs]
 
 
 def chunk_objects(objs, n, f):
-    """Make max_pool_points multiply ``objs`` objects of ``n`` points of an
-    f-wide layer at a time."""
+    """Make max_pool_points run ``objs`` objects of ``n`` points at a time
+    through an MLP whose widest layer is f wide."""
     return mock.patch.object(ad, "_POOL_CHUNK", objs * n * f)
 
 
-def pool_grads(x, w, b, g):
-    x, w, b = ad.parameter(x), ad.parameter(w), ad.parameter(b)
-    out = ad.max_pool_points(x, w, b)
+def pool_grads(x, ws, bs, g):
+    x, ws, bs = ad.parameter(x), [ad.parameter(w) for w in ws], [ad.parameter(b) for b in bs]
+    out = ad.max_pool_points(x, ws, bs)
     ad.sum_all(ad.mul(out, Tensor(g))).backward()
-    return out.data, x.grad, w.grad, b.grad
+    return [out.data, x.grad, *(w.grad for w in ws), *(b.grad for b in bs)]
+
+
+def tied_mlp(rng, widths):
+    """Random layers in which column 1 carries x[..., 0] + 0.5 to the output
+    (so it ties wherever x[..., 0] does), and the last layer's column 4 is
+    below zero everywhere."""
+    ws = [rng.normal(size=(wi, wo)) for wi, wo in zip(widths, widths[1:])]
+    bs = [rng.normal(size=wo) for wo in widths[1:]]
+    for w, b in zip(ws, bs):
+        w[:, 1] = np.eye(w.shape[0])[:, 0 if w is ws[0] else 1]
+        b[1] = 0.5 if w is ws[0] else 0.0
+    bs[-1][4] = -50.0
+    return ws, bs
 
 
 # One, two (the last chunk holds a single object) and all of five objects
 # per chunk.
 CHUNK_OBJECTS = [1, 2, 5]
+# One, two and three layers; the last is 6 wide and the widest.
+MLP_WIDTHS = [(3, 6), (3, 5, 6), (3, 5, 4, 6)]
 
 
 class TestMaxPoolPoints:
-    """The last pointwise layer fused with the max over points."""
+    """The shared pointwise MLP fused with the max over points."""
 
     def test_definition(self):
-        out = ad.max_pool_points(Tensor([[1.0, 5.0], [3.0, 2.0]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        out = ad.max_pool_points(Tensor([[1.0, 5.0], [3.0, 2.0]]), [Tensor(np.eye(2))], [Tensor(np.zeros(2))])
         np.testing.assert_array_equal(out.data, [3.0, 5.0])
 
     def test_single_point_identity_after_activation(self):
-        out = ad.max_pool_points(Tensor([[4.0, -7.0]]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        out = ad.max_pool_points(Tensor([[4.0, -7.0]]), [Tensor(np.eye(2))], [Tensor(np.zeros(2))])
         np.testing.assert_array_equal(out.data, [4.0, 0.0])
 
+    def test_hidden_layer_activation_applies_before_the_next(self):
+        # Layer 1 gives (1, -2) then (-3, 4); its ReLU zeroes the negatives,
+        # so layer 2's sum column reads 1 and 4, not -1 and 1.
+        x = Tensor([[1.0, -2.0], [-3.0, 4.0]])
+        out = ad.max_pool_points(x, [Tensor(np.eye(2)), Tensor([[1.0], [1.0]])],
+                                 [Tensor(np.zeros(2)), Tensor([0.0])])
+        np.testing.assert_array_equal(out.data, [4.0])
+
+    @pytest.mark.parametrize("widths", MLP_WIDTHS)
     @pytest.mark.parametrize("shape", [(13, 3), (5, 13, 3), (5, 2, 3)])
     @pytest.mark.parametrize("objs", CHUNK_OBJECTS)
-    def test_matches_numpy_reference(self, shape, objs):
-        # Some columns tie, one is below zero everywhere.
+    def test_matches_numpy_reference(self, shape, objs, widths):
         rng = np.random.default_rng(21)
         x = rng.normal(size=shape)
         x[..., 0] = rng.integers(0, 3, size=shape[:-1])
-        w = rng.normal(size=(3, 6))
-        w[:, 1] = [1.0, 0.0, 0.0]  # column 1 ties wherever x[..., 0] does
-        b = rng.normal(size=6)
-        b[1], b[4] = 0.5, -50.0
+        ws, bs = tied_mlp(rng, widths)
         g = rng.normal(size=shape[:-2] + (6,))
         assert np.any(np.sum(x[..., 0] == x[..., 0].max(axis=-1, keepdims=True), axis=-1) > 1)
         with chunk_objects(objs, shape[-2], 6):
-            got = pool_grads(x, w, b, g)
-        want = pool_reference(x, w, b, g)
-        assert np.all(got[0][..., 4] == 0.0) and np.all(got[3][4] == 0.0)
+            got = pool_grads(x, ws, bs, g)
+        want = mlp_reference(x, ws, bs, g)
+        # The dead column: no output, no last-layer bias gradient.
+        assert np.all(got[0][..., 4] == 0.0) and np.all(got[-1][4] == 0.0)
         for a, r in zip(got, want):
             assert a.shape == r.shape
             assert np.max(np.abs(a - r)) <= 1e-12
 
-    def test_object_larger_than_a_chunk_is_multiplied_whole(self):
+    @pytest.mark.parametrize("widths", MLP_WIDTHS)
+    def test_object_larger_than_a_chunk_is_multiplied_whole(self, widths):
         rng = np.random.default_rng(22)
-        x, w, b, g = rng.normal(size=(3, 7, 2)), rng.normal(size=(2, 4)), rng.normal(size=4), rng.normal(size=(3, 4))
+        x, g = rng.normal(size=(3, 7, 3)), rng.normal(size=(3, 6))
+        ws, bs = tied_mlp(rng, widths)
         with mock.patch.object(ad, "_POOL_CHUNK", 1):
-            got = pool_grads(x, w, b, g)
-        for a, r in zip(got, pool_reference(x, w, b, g)):
+            got = pool_grads(x, ws, bs, g)
+        for a, r in zip(got, mlp_reference(x, ws, bs, g)):
             assert np.max(np.abs(a - r)) <= 1e-12
+
+    def test_chunk_is_sized_by_the_widest_layer(self):
+        # The chunk holds one object's 40-wide hidden layer (400
+        # activations); sized by the 2-wide last layer, it would hold all
+        # three objects.
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(3, 10, 3))
+        ws = [Tensor(rng.normal(size=(3, 40))), Tensor(rng.normal(size=(40, 2)))]
+        bs = [Tensor(rng.normal(size=40)), Tensor(rng.normal(size=2))]
+        seen = []
+        real = np.maximum
+
+        def spy(a, *args, **kwargs):
+            if a.ndim == 2 and a.shape[1] == 40:
+                seen.append(a.shape[0])
+            return real(a, *args, **kwargs)
+
+        with mock.patch.object(ad, "_POOL_CHUNK", 40 * 10), mock.patch.object(ad.np, "maximum", spy):
+            ad.max_pool_points(Tensor(x), ws, bs)
+        assert seen == [10, 10, 10]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 8), st.sampled_from(CHUNK_OBJECTS),
@@ -189,12 +241,12 @@ class TestMaxPoolPoints:
         # Small integers make every product exact, whatever the BLAS order.
         rng = np.random.default_rng(seed)
         x = rng.integers(-4, 5, size=(5, n, 3)).astype(float)
-        w = rng.integers(-4, 5, size=(3, f)).astype(float)
-        b = rng.integers(-4, 5, size=f).astype(float)
+        ws = [Tensor(rng.integers(-4, 5, size=shape).astype(float)) for shape in ((3, 4), (4, f))]
+        bs = [Tensor(rng.integers(-4, 5, size=w.shape[1]).astype(float)) for w in ws]
         perm = rng.permutation(n)
-        with chunk_objects(objs, n, f):
-            a = ad.max_pool_points(Tensor(x), Tensor(w), Tensor(b)).data
-            c = ad.max_pool_points(Tensor(x[:, perm]), Tensor(w), Tensor(b)).data
+        with chunk_objects(objs, n, max(4, f)):
+            a = ad.max_pool_points(Tensor(x), ws, bs).data
+            c = ad.max_pool_points(Tensor(x[:, perm]), ws, bs).data
         assert np.array_equal(a, c)
 
     @pytest.mark.parametrize("objs", CHUNK_OBJECTS)
@@ -202,64 +254,83 @@ class TestMaxPoolPoints:
         # Every object's column 0 ties at 2.0; its gradient must land on row 0.
         x = ad.parameter(np.tile([[2.0, 1.0], [2.0, 3.0]], (5, 1, 1)))
         with chunk_objects(objs, 2, 2):
-            ad.sum_all(ad.max_pool_points(x, Tensor(np.eye(2)), Tensor(np.zeros(2)))).backward()
+            ad.sum_all(ad.max_pool_points(x, [Tensor(np.eye(2))], [Tensor(np.zeros(2))])).backward()
         np.testing.assert_array_equal(x.grad, np.tile([[1.0, 0.0], [0.0, 1.0]], (5, 1, 1)))
 
     @pytest.mark.parametrize("objs", CHUNK_OBJECTS)
     @pytest.mark.parametrize("obj", [0, 4])
     def test_nan_reaches_the_output(self, objs, obj):
-        out = ad.max_pool_points(Tensor([[1.0, 0.0], [3.0, 2.0]]), Tensor(np.eye(2)), Tensor([0.0, np.nan]))
+        out = ad.max_pool_points(Tensor([[1.0, 0.0], [3.0, 2.0]]), [Tensor(np.eye(2))], [Tensor([0.0, np.nan])])
         assert out.data[0] == 3.0 and np.isnan(out.data[1])
-        # A NaN point in the first object's chunk or in the last one.
-        with chunk_objects(objs, 3, 1):
-            for row in (0, 2):
-                x = np.tile([[1.0], [3.0], [0.5]], (5, 1, 1))
-                x[obj, row] = np.nan
-                out = ad.max_pool_points(Tensor(x), Tensor([[1.0]]), Tensor([0.0])).data
-                assert np.isnan(out[obj, 0])
-                np.testing.assert_array_equal(np.delete(out, obj, axis=0), 3.0)
+        # A NaN point in the first object's chunk or in the last one, through
+        # a hidden layer.
+        one = [Tensor([[1.0]])], [Tensor([0.0])]
+        for ws, bs in (one, (one[0] * 2, one[1] * 2)):
+            with chunk_objects(objs, 3, 1):
+                for row in (0, 2):
+                    x = np.tile([[1.0], [3.0], [0.5]], (5, 1, 1))
+                    x[obj, row] = np.nan
+                    out = ad.max_pool_points(Tensor(x), ws, bs).data
+                    assert np.isnan(out[obj, 0])
+                    np.testing.assert_array_equal(np.delete(out, obj, axis=0), 3.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 5), st.sampled_from(CHUNK_OBJECTS),
            st.integers(0, 2 ** 32 - 1))
     def test_gradient_lands_on_first_maximum(self, n, f, objs, seed):
         # Few distinct values, so columns tie often; an all-zero column
-        # sits below the activation and gets no gradient.
+        # sits below the activation and gets no gradient.  The identity
+        # hidden layer passes the points through unchanged.
         x = ad.parameter(np.random.default_rng(seed).integers(0, 3, size=(5, n, f)).astype(float))
+        eye, zero = Tensor(np.eye(f)), Tensor(np.zeros(f))
         with chunk_objects(objs, n, f):
-            ad.sum_all(ad.max_pool_points(x, Tensor(np.eye(f)), Tensor(np.zeros(f)))).backward()
+            ad.sum_all(ad.max_pool_points(x, [eye, eye], [zero, zero])).backward()
         want = np.zeros_like(x.data)
         np.put_along_axis(want, np.argmax(x.data, axis=1)[:, None], 1.0, axis=1)
         want *= x.data.max(axis=1, keepdims=True) > 0
         np.testing.assert_array_equal(x.grad, want)
 
+    @pytest.mark.parametrize("widths", [(3, 4), (3, 5, 4)])
     @pytest.mark.parametrize("shape", [(6, 3), (5, 4, 3)])
-    def test_gradients_match_central_differences(self, shape):
+    def test_gradients_match_central_differences(self, shape, widths):
         rng = np.random.default_rng(23)
         x = ad.parameter(None, rng, shape, std=1.0)
-        w = ad.parameter(None, rng, (3, 4), std=1.0)
-        b = ad.parameter(np.array([0.1, -0.2, 0.3, -50.0]))
+        ws = [ad.parameter(None, rng, (wi, wo), std=1.0) for wi, wo in zip(widths, widths[1:])]
+        bs = [ad.parameter(None, rng, (wo,), std=0.1) for wo in widths[1:]]
+        bs[-1].data[-1] = -50.0
         target = Tensor(rnd(rng, *shape[:-2], 4))
-        params = [x, w, b]
-        # Differences of 1e-4 must not cross a kink: no near-tie, no live
-        # column near zero.
-        z = np.sort(x.data @ w.data + b.data, axis=-2)[..., :3]
+        params = [x, *ws, *bs]
+        # Differences of 1e-4 must not cross a kink: no hidden pre-activation
+        # near zero, no near-tie, no live column near zero.
+        h = x.data
+        for w, b in zip(ws[:-1], bs[:-1]):
+            z = h @ w.data + b.data
+            assert np.min(np.abs(z)) > 0.01
+            h = np.maximum(z, 0.0)
+        z = np.sort(h @ ws[-1].data + bs[-1].data, axis=-2)[..., :3]
         assert np.min(z[..., -1, :] - z[..., -2, :]) > 0.05 and np.min(np.abs(z[..., -1, :])) > 0.05
 
         def build():
-            return ad.sq_l2_diff(ad.max_pool_points(x, w, b), target)
+            return ad.sq_l2_diff(ad.max_pool_points(x, ws, bs), target)
 
-        with chunk_objects(2, shape[-2], 4):
+        with chunk_objects(2, shape[-2], 5):
             analytic = ad.gradients(build(), params)
             numeric = oracles.central_differences(lambda: build().item(), params)
         for a, n in zip(analytic, numeric):
             assert oracles.grads_close(a, n, tol=1e-3)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="max_pool_points"):
-            ad.max_pool_points(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
-        with pytest.raises(ShapeError, match="max_pool_points"):
-            ad.max_pool_points(Tensor(np.zeros((2, 0, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+        eye, zero = Tensor(np.eye(3)), Tensor(np.zeros(3))
+        for x, ws, bs in [
+            (np.zeros((2, 3)), [np.zeros((4, 2))], [np.zeros(2)]),
+            (np.zeros((2, 0, 3)), [np.zeros((3, 2))], [np.zeros(2)]),
+            (np.zeros((2, 3)), [eye, np.zeros((4, 2))], [zero, np.zeros(2)]),
+            (np.zeros((2, 3)), [eye, eye], [zero, np.zeros(2)]),
+            (np.zeros((2, 3)), [eye, eye], [zero]),
+            (np.zeros((2, 3)), [], []),
+        ]:
+            with pytest.raises(ShapeError, match="max_pool_points"):
+                ad.max_pool_points(Tensor(x), ws, bs)
 
 
 class TestRelu:
@@ -504,7 +575,7 @@ class TestBackward:
         params = [w1, b1, w2, b2]
 
         def build():
-            pooled = ad.max_pool_points(Tensor(pts), w1, b1)
+            pooled = ad.max_pool_points(Tensor(pts), [w1], [b1])
             logits = ad.add(ad.matmul(ad.reshape(pooled, (1, 4)), w2), b2)
             probs = ad.softmax(logits, axis=-1)
             return ad.sq_l2_diff(probs, Tensor(target.reshape(1, 2)))

@@ -89,11 +89,14 @@ class TestForward:
         logits = bb.forward(rng.normal(size=(2, 6, 3)), kernels, biases, head_w, head_b).data
         assert np.all(np.isnan(logits))
 
-    def test_one_node_per_pointwise_layer_and_no_last_layer_block(self):
+    def test_one_node_for_the_shared_mlp_and_no_pointwise_block(self):
         widths, b, n = (3, 8, 16, 32), 2, 50
         rng = np.random.default_rng(12)
+        kernels, biases, _, _ = micro_params(13, widths)
+        head_w = [Tensor(rng.normal(size=(32, 6))), Tensor(rng.normal(size=(6, 2)))]
+        head_b = [Tensor(rng.normal(size=6)), Tensor(rng.normal(size=2))]
         # Trainable leaves, so the graph keeps its parents.
-        params = [[ad.parameter(t.data) for t in group] for group in micro_params(13, widths)]
+        params = [[ad.parameter(t.data) for t in group] for group in (kernels, biases, head_w, head_b)]
         logits = bb.forward(rng.normal(size=(b, n, 3)), *params)
         seen, stack = {}, [logits]
         while stack:
@@ -102,10 +105,11 @@ class TestForward:
                 seen[id(node)] = node
                 stack.extend(node._parents)
         ops = [node._op for node in seen.values()]
-        assert ops.count("relu") == 2 and ops.count("max_pool_points") == 1
+        # relu is the head's hidden layer alone.
+        assert ops.count("relu") == 1 and ops.count("max_pool_points") == 1
         # Only the head's output layer is a matmul and an add.
         assert ops.count("matmul") == ops.count("add") == 1
-        assert max(node.size for node in seen.values()) < b * n * widths[-1]
+        assert max(node.size for node in seen.values()) < b * n * min(widths[1:])
 
     def test_forward_over_constants_keeps_no_graph(self):
         # Evaluation graphs are all constants: no node holds its operands,

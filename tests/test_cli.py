@@ -539,6 +539,17 @@ class TestEval:
             "after 3             0.625   1.000",
         ]
 
+    def test_boundary_after_a_task_without_epochs_exits_3(self, tmp_path, capsys):
+        good = [{"kind": "epoch", "task": 1, "epoch": 1, "loss": 0.5, "test_acc": 0.5, "wall_ms": 1.0,
+                 "steps": 1}, {"kind": "boundary", "after_task": 1, "task": 1, "test_acc": 0.5}]
+        stray = {"kind": "boundary", "after_task": 7, "task": 1, "test_acc": 0.1}
+        data = "\n".join(map(json.dumps, good)).encode()
+        # summary.csv as the log without the stray record would have it.
+        (tmp_path / "summary.csv").write_bytes(summary_csv_bytes(summary_rows(parse_jsonl(data))))
+        (tmp_path / "metrics.jsonl").write_bytes(data + b"\n" + json.dumps(stray).encode() + b"\n")
+        assert cli.main(["eval", "--run", str(tmp_path)]) == 3
+        assert "boundary after task 7" in capsys.readouterr().err
+
     def test_tampered_jsonl_exits_5(self, tmp_path, capsys):
         out = self._run(tmp_path)
         jsonl = out / "metrics.jsonl"

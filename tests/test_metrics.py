@@ -110,6 +110,12 @@ class TestExport:
         assert abs(rows[1]["cfr"] - (0.4 / 0.8 + 1.0) / 2) <= 1e-12
         assert rows[0]["tt_steps"] == 6
 
+    def test_boundary_after_a_task_without_epochs_rejected(self):
+        log = tiny_log()
+        log.boundaries.append(mx.BoundaryRecord(7, 1, 0.1))
+        with pytest.raises(DataError, match="after task 7"):
+            mx.summary_rows(log)
+
     def test_empty_run_header_only(self, tmp_path):
         paths = mx.export(mx.RunLog(), tmp_path)
         assert paths["csv"].read_bytes() == b"task,ppa,apa,cfr,sc,tt_steps\r\n"

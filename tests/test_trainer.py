@@ -1,4 +1,6 @@
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -330,6 +332,28 @@ class TestEvaluateArchive:
         _, _ = tr.train_task(1, tasks[0], kb, [], cfg)
         accs = tr.evaluate_archive(kb, archive)
         assert accs[1] == archive[0].peak_accuracy
+
+    def test_memory_does_not_grow_with_the_split(self):
+        # A chunk of one object, as at PointNet's widths: evaluating 16
+        # objects holds about what evaluating 4 does, where a layer-by-layer
+        # forward over the whole split held about 3x.
+        widths, n_pts = (3, 64, 64, 128), 64
+        spec = FactorSpec(widths=widths, n_hat=4, l_hat=4, s=2)
+        kb = tr.init_knowledge_base(spec, seed=0)
+        factors = tr.init_or_inherit_factors(None, spec, (128, 8, 2), seed=1, task_id=1)
+        test = ds.gen_synthetic(("sphere", "cube"), 40, n_pts, 0.02, seed=0).test
+
+        def peak(n_objects):
+            tracemalloc.start()
+            try:
+                tr._eval_accuracy(test[:n_objects], kb.layers, factors)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.object(ad, "_POOL_CHUNK", n_pts * max(widths)):
+            small, large = peak(4), peak(16)
+        assert large < 1.25 * small
 
 
 class TestGradientFlow:
