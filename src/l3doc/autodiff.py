@@ -11,7 +11,11 @@ classifier composes its graphs from:
   first point that attains it (PointNet's critical point), so no layer's
   (batch, n_pts, w) activation is built at once.  Only the critical
   points reach the gradient, so forward keeps their input and hidden rows
-  alone, and backward runs the hidden layers over those rows;
+  alone, and backward runs the hidden layers over those rows.  A chunk's
+  activations go to a module-level workspace that is reused across calls
+  and never handed out (about 11.5 MB at the paper geometry, about 4 MB
+  at the desk one), and backward walks forward's chunks, so neither pass
+  holds more than one chunk's last-layer block at once;
 - general algebra (``matmul``/``add``/``scale``, ``reshape``, ``sum_all``,
   ``stack_scalars``), numerically stable ``softmax`` and squared-L2
   penalties;
@@ -69,8 +73,29 @@ __all__ = [
 # Activations of its widest layer that max_pool_points builds at once
 # (8 MB): as many whole objects as fit, and never less than one object,
 # whatever its size (one 1024-point object of the widest PointNet layer
-# fills it).
+# fills it).  Backward runs in the same chunks, and the chunk bounds the
+# forward workspace below.
 _POOL_CHUNK = 1 << 20
+
+# max_pool_points' forward workspace: one flat float64 buffer per layer
+# slot (each hidden layer's activations, then the last layer's (f, rows)
+# product) for one chunk, kept across calls so that their pages stay
+# mapped, and grown only when a call needs more room.  A view of it never
+# leaves the op: the next call overwrites it.  Calls must not overlap, so
+# the op is for one thread at a time (the package has no other).
+_workspace: list[np.ndarray] = []
+
+
+def _workspace_view(slot: int, rows: int, cols: int) -> np.ndarray:
+    if slot == len(_workspace):
+        _workspace.append(np.empty(0))
+    if _workspace[slot].size < rows * cols:
+        _workspace[slot] = np.empty(rows * cols)
+    return _workspace[slot][:rows * cols].reshape(rows, cols)
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class ShapeError(ValueError):
@@ -438,14 +463,22 @@ def max_pool_points(x, ws, bs) -> Tensor:
     layer in chunks of at most ``_POOL_CHUNK`` activations of the widest
     layer (one object if it alone is larger), keeping each output column's
     maximum and the first point that attains it, so no layer's
-    (batch, n_pts, w) activation is built for more than one chunk.
+    (batch, n_pts, w) activation is built for more than one chunk.  Each
+    chunk's hidden activations and its (f, rows) last-layer product are
+    written into the module's workspace, one buffer per layer slot, which
+    grows to the largest chunk seen and is never stored in a tensor or a
+    closure: what the graph keeps is copied out of it.  Its size is bounded
+    by the chunk: about 11.5 MB kept at the paper geometry (1024 points,
+    widths 3-64-64-128-128-1024), about 4 MB at the desk one.
 
     Each output column depends only on that point (PointNet's critical
     point), and every other point's row of every layer's gradient is zero.
     So when a gradient will flow, forward keeps the input and hidden rows
     of the critical points alone, and backward runs the hidden layers over
-    those rows; ties go to the lowest index.  A NaN is taken as the
-    maximum, so it reaches the loss.
+    those rows; ties go to the lowest index.  Backward walks the same
+    chunks for the last layer, whose weight gradient it sums chunk by
+    chunk, so no array holds more than one chunk's (objects, f, k_last)
+    block.  A NaN is taken as the maximum, so it reaches the loss.
     """
     x, ws, bs = _lift(x), [_lift(w) for w in ws], [_lift(b) for b in bs]
     shapes = [x.shape, *(w.shape for w in ws), *(b.shape for b in bs)]
@@ -459,53 +492,64 @@ def max_pool_points(x, ws, bs) -> Tensor:
     xs = x.data.reshape(-1, *x.data.shape[-2:])
     nb, n, k = xs.shape
     objs = max(1, _POOL_CHUNK // (n * max(w.data.shape[1] for w in ws)))
+    chunks = range(0, nb, objs)
     keep = any(t.requires_grad for t in (x, *ws, *bs))
     top = np.empty((nb, f))
     # Per critical row (in flat batch order): its index and, for each layer,
-    # its input; inverse maps each (object, column) to its critical row.
+    # its input; inverse maps each (object, column) to its critical row
+    # within the chunk, whose rows begin at starts[chunk].
     rows, kept = [], [[] for _ in ws]
     inverse = np.empty((nb, f), dtype=np.intp)
-    n_kept = 0
-    for o in range(0, nb, objs):
+    starts = [0]
+    for o in chunks:
         span = slice(o, o + objs)
         hs = [xs[span].reshape(-1, k)]
-        for w, b in zip(ws[:-1], bs[:-1]):
-            h = hs[-1] @ w.data
+        for slot, (w, b) in enumerate(zip(ws[:-1], bs[:-1])):
+            h = np.matmul(hs[-1], w.data, out=_workspace_view(slot, len(hs[-1]), w.data.shape[1]))
             h += b.data
             np.maximum(h, 0.0, out=h)
-            # Over constants, only the layer being built and its input live.
-            hs = [*hs, h] if keep else [h]
+            hs.append(h)
         # (f, objects, points) layout, so the max runs along contiguous memory.
-        z = (ws[-1].data.T @ hs[-1].T).reshape(f, -1, n)
+        z = np.matmul(ws[-1].data.T, hs[-1].T, out=_workspace_view(len(ws) - 1, f, len(hs[-1])))
+        z = z.reshape(f, -1, n)
         first = np.argmax(z, axis=-1)
         top[span] = np.take_along_axis(z, first[..., None], axis=-1)[..., 0].T
         if keep:
             local, inv = np.unique(first.T + np.arange(first.shape[1])[:, None] * n,
                                    return_inverse=True)
-            inverse[span] = inv.reshape(-1, f) + n_kept
-            n_kept += local.size
+            inverse[span] = inv.reshape(-1, f)
+            starts.append(starts[-1] + local.size)
             rows.append(local + o * n)
             for store, h in zip(kept, hs):
                 store.append(h[local])
     top += bs[-1].data
     np.maximum(top, 0.0, out=top)
     if keep:
-        rows, ins = np.concatenate(rows), [np.concatenate(store) for store in kept]
+        rows, ins = _join(rows), [_join(store) for store in kept]
 
     def bw(g):
         gz = g.reshape(nb, f) * (top > 0.0)
         _accum(bs[-1], gz.sum(axis=0))
-        if ws[-1].requires_grad:
-            _accum(ws[-1], np.einsum("bfk,bf->kf", ins[-1][inverse], gz))
-        if len(ws) == 1 and not x.requires_grad:
-            return
+        hidden = len(ws) > 1 or x.requires_grad
         w_last = ws[-1].data
         kl = w_last.shape[0]
-        # One bincount over flat element indices sums every column's share
-        # into its critical row, in column order.
-        flat = (inverse * kl)[..., None] + np.arange(kl)
-        gh = np.bincount(flat.ravel(), weights=(gz[..., None] * w_last.T).ravel(),
-                         minlength=n_kept * kl).reshape(n_kept, kl)
+        gw, gh = None, []
+        for o, lo, hi in zip(chunks, starts, starts[1:]):
+            span = slice(o, o + objs)
+            if ws[-1].requires_grad:
+                part = np.einsum("bfk,bf->kf", ins[-1][lo:hi][inverse[span]], gz[span])
+                gw = part if gw is None else np.add(gw, part, out=gw)
+            if hidden:
+                # One bincount over flat element indices sums every column's
+                # share into its critical row, in column order.
+                flat = (inverse[span] * kl)[..., None] + np.arange(kl)
+                gh.append(np.bincount(flat.ravel(), weights=(gz[span][..., None] * w_last.T).ravel(),
+                                      minlength=(hi - lo) * kl).reshape(hi - lo, kl))
+        if gw is not None:
+            _accum(ws[-1], gw)
+        if not hidden:
+            return
+        gh = _join(gh)
         for i in reversed(range(len(ws) - 1)):
             gh *= ins[i + 1] > 0.0
             _accum(bs[i], gh.sum(axis=0))

@@ -41,7 +41,7 @@ from .datasets import (DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, lo
 from .errors import ConfigError, DataError, NumericError
 from .factorization import FactorSpec, count_dfcnn, count_l3doc, count_stl, l3doc_layer_counts
 from .mam import MamConfig
-from .metrics import export, parse_jsonl, summary_csv_bytes, summary_rows
+from .metrics import cfr_skipped_tasks, export, parse_jsonl, summary_csv_bytes, summary_rows
 from .trainer import MODES, ExperimentConfig, check_tasks, run_sequence
 
 SCHEMA_VERSION = 1
@@ -181,6 +181,13 @@ def _writing(where: Path):
         raise ConfigError(f"cannot write {e.filename or where}: {e.strerror or e}") from None
 
 
+def _note_cfr_skips(log) -> None:
+    skipped = cfr_skipped_tasks(log)
+    if skipped:
+        print(f"note: cfr skips task(s) {', '.join(map(str, skipped))}: zero peak accuracy",
+              file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     path = Path(args.config)
     if not path.is_file():
@@ -207,6 +214,7 @@ def cmd_run(args) -> int:
     _, log = run_sequence(cfg, tasks)
     with _writing(out_dir):
         paths = export(log, out_dir)
+    _note_cfr_skips(log)
     print(f"run complete: {len(tasks)} task(s), outputs in {out_dir}")
     for name in ("jsonl", "csv"):
         print(f"  wrote {paths[name]}")
@@ -258,6 +266,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"run directory {run_dir} lacks metrics.jsonl/summary.csv")
     log = parse_jsonl(jsonl_path.read_bytes())
     recomputed = summary_csv_bytes(summary_rows(log))
+    _note_cfr_skips(log)
     if recomputed != csv_path.read_bytes():
         print(f"error: eval-mismatch: summary.csv does not match metrics.jsonl in {run_dir}",
               file=sys.stderr)

@@ -18,7 +18,6 @@ import hashlib
 import io
 import json
 import math
-import warnings
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -97,10 +96,14 @@ def cfr(current_accuracies: Sequence[float], peak_accuracies: Sequence[float]) -
     ratios = []
     for cur, peak in zip(current_accuracies, peak_accuracies):
         if peak <= 0.0:
-            warnings.warn("cfr: skipping task with zero peak accuracy", stacklevel=2)
             continue
         ratios.append(cur / peak)
     return sum(ratios) / len(ratios) if ratios else float("nan")
+
+
+def cfr_skipped_tasks(log: RunLog) -> list[int]:
+    """Tasks whose zero peak accuracy makes cfr skip them at every boundary."""
+    return [t for t, peak in log.peaks().items() if peak <= 0.0]
 
 
 def sc(trace: Sequence[float]) -> int:

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -331,6 +332,71 @@ class TestMaxPoolPoints:
         ]:
             with pytest.raises(ShapeError, match="max_pool_points"):
                 ad.max_pool_points(Tensor(x), ws, bs)
+
+    @pytest.mark.parametrize("widths", MLP_WIDTHS)
+    def test_later_calls_leave_a_built_graph_intact(self, widths):
+        # Calls between graph A's forward and its backward overwrite the
+        # forward workspace; A must not hold any view of it.
+        rng = np.random.default_rng(25)
+        x, g = rng.normal(size=(5, 7, 3)), rng.normal(size=(5, 6))
+        ws, bs = tied_mlp(rng, widths)
+        with chunk_objects(2, 7, 6):
+            want = pool_grads(x, ws, bs, g)
+            a, xa = [ad.parameter(w) for w in ws], ad.parameter(x)
+            ba = [ad.parameter(b) for b in bs]
+            out = ad.max_pool_points(xa, a, ba)
+            pool_grads(rng.normal(size=(3, 7, 3)), ws, bs, rng.normal(size=(3, 6)))
+            ad.max_pool_points(Tensor(rng.normal(size=(5, 7, 3))), [Tensor(w) for w in ws],
+                               [Tensor(b) for b in bs])
+            ad.sum_all(ad.mul(out, Tensor(g))).backward()
+        got = [out.data, xa.grad, *(w.grad for w in a), *(b.grad for b in ba)]
+        for p, q in zip(got, want):
+            assert np.array_equal(p, q)
+
+    def test_backward_memory_does_not_grow_with_the_batch(self):
+        # With one object per chunk, no array in backward holds more than one
+        # object's (512 columns x 64 inputs) block of the last layer; what
+        # grows with the batch is a few (batch, 512) arrays and the rows of
+        # at most 8 critical points per object.
+        rng = np.random.default_rng(26)
+        ws = [ad.parameter(None, rng, shape) for shape in ((3, 64), (64, 512))]
+        bs = [ad.parameter(None, rng, (w,)) for w in (64, 512)]
+
+        def peak(n_objects):
+            loss = ad.sum_all(ad.max_pool_points(Tensor(rng.normal(size=(n_objects, 8, 3))), ws, bs))
+            for p in (*ws, *bs):
+                p.grad = None
+            tracemalloc.start()
+            try:
+                loss.backward()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with chunk_objects(1, 8, 512):
+            small, large = peak(4), peak(16)
+        assert large < 1.25 * small
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_repeated_forward_allocates_no_activation_block(self, grad):
+        # The smallest activation block of one chunk (one object of 2048
+        # points through the 16-wide layer) is 256 kB; everything else
+        # forward builds is a few (f,) rows, at most 32 critical rows and
+        # numpy's 64 kB buffer for the broadcast bias add.
+        rng = np.random.default_rng(27)
+        lift = ad.parameter if grad else Tensor
+        ws = [lift(rng.normal(size=shape)) for shape in ((3, 16), (16, 32))]
+        bs = [lift(rng.normal(size=w)) for w in (16, 32)]
+        x = Tensor(rng.normal(size=(3, 2048, 3)))
+        with chunk_objects(1, 2048, 32):
+            ad.max_pool_points(x, ws, bs)
+            tracemalloc.start()
+            try:
+                ad.max_pool_points(x, ws, bs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2048 * 16 * 8
 
 
 class TestRelu:

@@ -539,6 +539,18 @@ class TestEval:
             "after 3             0.625   1.000",
         ]
 
+    def test_zero_peak_tasks_are_named_on_one_stderr_line(self, tmp_path, capsys):
+        epochs = [{"kind": "epoch", "task": t, "epoch": 1, "loss": 0.5, "test_acc": 0.0,
+                   "wall_ms": 1.0, "steps": 1} for t in (1, 2, 3)]
+        accs = {(1, 1): 0.0, (2, 1): 0.5, (2, 2): 0.75, (3, 1): 0.25, (3, 2): 0.5, (3, 3): 0.0}
+        bounds = [{"kind": "boundary", "after_task": after, "task": t, "test_acc": acc}
+                  for (after, t), acc in accs.items()]
+        data = "\n".join(map(json.dumps, epochs + bounds)).encode()
+        (tmp_path / "metrics.jsonl").write_bytes(data + b"\n")
+        (tmp_path / "summary.csv").write_bytes(summary_csv_bytes(summary_rows(parse_jsonl(data))))
+        assert cli.main(["eval", "--run", str(tmp_path)]) == 0
+        assert capsys.readouterr().err.splitlines() == ["note: cfr skips task(s) 1, 3: zero peak accuracy"]
+
     def test_boundary_after_a_task_without_epochs_exits_3(self, tmp_path, capsys):
         good = [{"kind": "epoch", "task": 1, "epoch": 1, "loss": 0.5, "test_acc": 0.5, "wall_ms": 1.0,
                  "steps": 1}, {"kind": "boundary", "after_task": 1, "task": 1, "test_acc": 0.5}]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,8 +55,9 @@ class TestCfr:
     def test_no_forgetting_is_one(self):
         assert mx.cfr([0.9, 0.7], [0.9, 0.7]) == 1.0
 
-    def test_zero_peak_skipped_with_warning(self):
-        with pytest.warns(UserWarning):
+    def test_zero_peak_skipped_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert mx.cfr([0.5, 0.8], [0.0, 0.8]) == 1.0
 
     def test_length_mismatch(self):
