@@ -37,7 +37,11 @@ construction; a result over constants only holds neither, so evaluation
 keeps no activation alive past the op that reads it.  Tensors built into
 a graph, and the gradient arrays backward hands out, are treated as
 immutable; leaves created with ``requires_grad=True`` are the trainable
-parameters.
+parameters, each over its own copy of the data it was built from, and an
+optimizer updates them in place.  :func:`gradients` hands the list it
+returns the only reference to each parameter's gradient and resets the
+parameters' ``grad`` to None, so no gradient outlives the step that
+uses it.
 """
 
 from __future__ import annotations
@@ -213,10 +217,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def parameter(data, rng: np.random.Generator | None = None, shape=None, std: float = 0.05) -> Tensor:
-    """Trainable leaf. With ``rng`` and ``shape``, draws i.i.d. normal(0, std)."""
+    """Trainable leaf over a float64 copy of ``data``, so an in-place update
+    never writes into the caller's array (which may be read-only).  With
+    ``rng`` and ``shape``, draws i.i.d. normal(0, std) instead."""
     if rng is not None:
-        data = rng.normal(0.0, std, size=shape)
-    return Tensor(data, requires_grad=True)
+        return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
 def constant(data) -> Tensor:
@@ -269,10 +275,10 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        g2 = g.reshape(-1, g.shape[-1])
-        _accum(b, a2.T @ g2)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _make(out_data, (a, b), "matmul", bw)
 
@@ -371,12 +377,18 @@ def sq_l2_diff(a, b) -> Tensor:
     if a.data.shape != b.data.shape:
         raise _bad_shapes("sq_l2_diff", a.shape, b.shape)
     d = a.data - b.data
+    out_data = np.asarray((d * d).sum())
 
     def bw(g):
-        _accum(a, 2.0 * float(g) * d)
-        _accum(b, -2.0 * float(g) * d)
+        # The difference is recomputed rather than kept: a gap penalty's
+        # graph then holds no array of its operands' size.
+        d = a.data - b.data
+        if a.requires_grad:
+            _accum(a, 2.0 * float(g) * d)
+        if b.requires_grad:
+            _accum(b, -2.0 * float(g) * d)
 
-    return _make(np.asarray((d * d).sum()), (a, b), "sq_l2_diff", bw)
+    return _make(out_data, (a, b), "sq_l2_diff", bw)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -410,8 +422,10 @@ def channel_contract(c, d) -> Tensor:
 
     def bw(g):
         g2 = g[0, 0]
-        _accum(c, np.tensordot(d.data, g2, axes=([1, 2], [0, 1]))[None, None])
-        _accum(d, cv[:, None, None] * g2[None])
+        if c.requires_grad:
+            _accum(c, np.tensordot(d.data, g2, axes=([1, 2], [0, 1]))[None, None])
+        if d.requires_grad:
+            _accum(d, cv[:, None, None] * g2[None])
 
     return _make(out_data, (c, d), "channel_contract", bw)
 
@@ -525,7 +539,11 @@ def max_pool_points(x, ws, bs) -> Tensor:
     top += bs[-1].data
     np.maximum(top, 0.0, out=top)
     if keep:
-        rows, ins = _join(rows), [_join(store) for store in kept]
+        # One layer at a time, each layer's parts freed once joined.
+        rows, ins = _join(rows), []
+        for store in kept:
+            ins.append(_join(store))
+            store.clear()
 
     def bw(g):
         gz = g.reshape(nb, f) * (top > 0.0)
@@ -533,7 +551,8 @@ def max_pool_points(x, ws, bs) -> Tensor:
         hidden = len(ws) > 1 or x.requires_grad
         w_last = ws[-1].data
         kl = w_last.shape[0]
-        gw, gh = None, []
+        gw = None
+        gh = np.empty((starts[-1], kl)) if hidden else None
         for o, lo, hi in zip(chunks, starts, starts[1:]):
             span = slice(o, o + objs)
             if ws[-1].requires_grad:
@@ -543,13 +562,12 @@ def max_pool_points(x, ws, bs) -> Tensor:
                 # One bincount over flat element indices sums every column's
                 # share into its critical row, in column order.
                 flat = (inverse[span] * kl)[..., None] + np.arange(kl)
-                gh.append(np.bincount(flat.ravel(), weights=(gz[span][..., None] * w_last.T).ravel(),
-                                      minlength=(hi - lo) * kl).reshape(hi - lo, kl))
+                gh[lo:hi] = np.bincount(flat.ravel(), weights=(gz[span][..., None] * w_last.T).ravel(),
+                                        minlength=(hi - lo) * kl).reshape(hi - lo, kl)
         if gw is not None:
             _accum(ws[-1], gw)
         if not hidden:
             return
-        gh = _join(gh)
         for i in reversed(range(len(ws) - 1)):
             gh *= ins[i + 1] > 0.0
             _accum(bs[i], gh.sum(axis=0))
@@ -564,8 +582,15 @@ def max_pool_points(x, ws, bs) -> Tensor:
 
 
 def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
-    """Gradients of a scalar loss for each parameter, zeros if untouched."""
+    """Gradients of a scalar loss for each parameter, zeros if untouched.
+
+    The returned list owns them: every parameter's ``grad`` is None again
+    on return, so dropping the list frees the step's gradients.
+    """
     for p in params:
         p.grad = None
     loss.backward()
-    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    for p in params:
+        p.grad = None
+    return grads

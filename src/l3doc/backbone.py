@@ -48,8 +48,10 @@ class BackboneConfig:
 
 
 def canonical_order(points: np.ndarray) -> np.ndarray:
-    """Sort an (n, d) point set lexicographically by coordinates."""
-    return points[np.lexsort(points.T[::-1])]
+    """Sort each (n, d) point set of an (..., n, d) array lexicographically
+    by coordinates, all sets in one stable sort along the point axis."""
+    order = np.lexsort(np.moveaxis(points, -1, 0)[::-1], axis=-1)
+    return np.take_along_axis(points, order[..., None], axis=-2)
 
 
 def forward(batch: np.ndarray, kernels: Sequence[Tensor], biases: Sequence[Tensor],
@@ -63,7 +65,7 @@ def forward(batch: np.ndarray, kernels: Sequence[Tensor], biases: Sequence[Tenso
     for i, k in enumerate(kernels):
         if k.shape[:2] != (1, 1) or k.shape[2] != chain[i]:
             raise ShapeError(f"forward: layer {i + 1} kernel {k.shape} breaks width chain {chain}")
-    x = ad.constant(np.stack([canonical_order(obj) for obj in batch]))
+    x = ad.constant(canonical_order(batch))
     ws = [ad.reshape(k, (int(k.shape[2]), int(k.shape[3]))) for k in kernels]
     h = ad.max_pool_points(x, ws, biases)
     for w, b in zip(head_weights[:-1], head_biases[:-1]):

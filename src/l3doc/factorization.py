@@ -192,7 +192,7 @@ def init_or_inherit_factors(prev: TaskFactors | None, spec: FactorSpec,
                         for l in range(spec.num_layers)]
         biases = [ad.parameter(np.zeros(spec.widths[l + 1])) for l in range(spec.num_layers)]
     else:
-        kernels, contractions, biases = ([ad.parameter(np.array(t.data, copy=True)) for t in group]
+        kernels, contractions, biases = ([ad.parameter(t.data) for t in group]
                                          for group in prev.groups()[:3])
     head_weights, head_biases = _init_head(head_dims, rng)
     return TaskFactors(task_id, kernels, contractions, biases, head_weights, head_biases)

@@ -83,17 +83,31 @@ def adam_state(params: Sequence[Tensor]) -> OptimizerState:
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: OptimizerState,
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """Standard adaptive-moment update, in place."""
+    """Standard adaptive-moment update.
+
+    ``m``, ``v`` and every ``p.data`` change in place (the arrays stay the
+    same objects), so a graph built from the parameters before the update
+    must not be read after it.  Per parameter, two temporaries of its size
+    hold the terms of ``p - lr * m_hat / (sqrt(v_hat) + eps)``, computed
+    with the same operations in the same order as that expression.
+    """
     state.step += 1
     t = state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        step = np.multiply(1 - beta1, g)
         m *= beta1
-        m += (1 - beta1) * g
+        m += step
+        np.multiply(1 - beta2, g, out=step)
+        step *= g
         v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += step
+        np.divide(m, 1 - beta1 ** t, out=step)
+        step *= lr
+        denom = np.divide(v, 1 - beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.data -= step
 
 
 @dataclass(frozen=True)
@@ -186,13 +200,14 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
             targets = one_hot(train_labels[idx], dataset.n_classes)
             lc = classification_loss(logits, targets)
             total = mam_mod.total_loss(lc, kb, factors, archive if cfg.mode == "l3doc" else [], cfg.mam)
-            if not np.isfinite(total.data):
-                raise NumericError(
-                    f"non-finite loss {float(total.data)} at task {task_id} epoch {epoch} step {b + 1}")
+            # The graph is not read after the update, which changes the parameters in place.
+            loss = float(total.data)
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite loss {loss} at task {task_id} epoch {epoch} step {b + 1}")
             grads = ad.gradients(total, params)
             adam_step(params, grads, state, cfg.lr)
             wall_ms += (time.perf_counter() - t0) * 1e3
-            losses.append(float(total.data))
+            losses.append(loss)
             # Free this step's graph before the next step or the evaluation builds its own.
             del kernels, logits, lc, total, grads
         if not all(np.isfinite(p.data).all() for p in params):

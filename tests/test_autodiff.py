@@ -398,6 +398,26 @@ class TestMaxPoolPoints:
                 tracemalloc.stop()
         assert peak < 2048 * 16 * 8
 
+    def test_forward_over_many_chunks_joins_one_layer_at_a_time(self):
+        # Four chunks of four objects: the critical rows kept for backward
+        # (three hidden layers and the input) are joined layer by layer, so
+        # the forward peak stays near what the node keeps, not twice it.
+        rng = np.random.default_rng(32)
+        widths = (3, 32, 32, 32, 256)
+        ws = [ad.parameter(rnd(rng, wi, wo)) for wi, wo in zip(widths, widths[1:])]
+        bs = [ad.parameter(rnd(rng, wo)) for wo in widths[1:]]
+        x = Tensor(rnd(rng, 16, 256, 3))
+        with chunk_objects(4, 256, 256):
+            ad.max_pool_points(x, ws, bs)
+            tracemalloc.start()
+            try:
+                out = ad.max_pool_points(x, ws, bs)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert out.requires_grad
+        assert peak < 1.5 * kept
+
 
 class TestRelu:
     """The fused layer ``max(x @ w + b, 0)``."""
@@ -507,6 +527,21 @@ class TestSqL2Diff:
         with pytest.raises(ShapeError):
             ad.sq_l2_diff(Tensor([1.0]), Tensor([1.0, 2.0]))
 
+    def test_graph_keeps_no_difference_array(self):
+        # Two 1 MB operands: the node holds its scalar and closure, not
+        # their 1 MB difference, and backward still gets the gradient.
+        rng = np.random.default_rng(31)
+        a, b = ad.parameter(rnd(rng, 1 << 17)), Tensor(rnd(rng, 1 << 17))
+        tracemalloc.start()
+        try:
+            out = ad.sq_l2_diff(a, b)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
+        (g,) = ad.gradients(out, [a])
+        assert g.tobytes() == (2.0 * (a.data - b.data)).tobytes()
+
 
 class TestStandardOps:
     def test_matmul_identity(self):
@@ -594,6 +629,38 @@ class TestBackward:
         loss = ad.sq_l2_diff(x, Tensor(np.zeros(1)))
         gx, gp = ad.gradients(loss, [x, p])
         np.testing.assert_array_equal(gp, np.zeros(2))
+
+    def test_gradients_leave_no_gradient_on_the_parameters(self):
+        # The returned list is the only owner: nothing a parameter holds
+        # keeps the step's gradients alive.
+        x = ad.parameter(np.array([3.0]))
+        p = ad.parameter(np.array([1.0, 2.0]))
+        gx, gp = ad.gradients(ad.sq_l2_diff(x, Tensor(np.zeros(1))), [x, p])
+        np.testing.assert_array_equal(gx, [6.0])
+        assert x.grad is None and p.grad is None
+
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.matmul, ((4, 3), (3, 2))),
+        (ad.channel_contract, ((1, 1, 3), (3, 2, 4))),
+        (ad.sq_l2_diff, ((2, 3), (2, 3))),
+    ])
+    def test_backward_forms_no_gradient_for_a_constant_operand(self, op, shapes):
+        rng = np.random.default_rng(30)
+        accum, reached = ad._accum, []
+
+        def spy(t, g):
+            reached.append(t)
+            accum(t, g)
+
+        for trainable in range(2):
+            ts = [ad.parameter(rng.normal(size=s)) if i == trainable else Tensor(rng.normal(size=s))
+                  for i, s in enumerate(shapes)]
+            loss = ad.sum_all(op(*ts))
+            reached.clear()
+            with mock.patch.object(ad, "_accum", spy):
+                loss.backward()
+            assert all(t is not ts[1 - trainable] for t in reached)
+            assert ts[trainable].grad is not None
 
     def test_non_scalar_loss_rejected(self):
         x = ad.parameter(np.ones((2, 2)))

@@ -12,7 +12,7 @@ from l3doc import mam
 from l3doc import trainer as tr
 from l3doc.backbone import BackboneConfig
 from l3doc.errors import ConfigError, DataError, NumericError
-from l3doc.factorization import FactorSpec
+from l3doc.factorization import FactorSpec, frozen_copy
 from l3doc.mam import MamConfig
 
 import oracles
@@ -77,6 +77,37 @@ class TestAdam:
         state = tr.adam_state([p])
         tr.adam_step([p], [rng.normal(size=(3, 4))], state, lr=0.0)
         assert np.array_equal(p.data, before)
+
+    def test_in_place_steps_match_the_out_of_place_formula(self):
+        # The out-of-place form of the update, as the reference.
+        def oracle(p, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+            m = m * beta1 + (1 - beta1) * g
+            v = v * beta2 + (1 - beta2) * g * g
+            m_hat = m / (1 - beta1 ** t)
+            v_hat = v / (1 - beta2 ** t)
+            return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+        rng = np.random.default_rng(11)
+        params = [ad.parameter(rng.normal(size=shape)) for shape in ((3, 4), (5,), (2, 2, 3))]
+        arrays = [p.data for p in params]
+        state = tr.adam_state(params)
+        want = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3) for p in params]
+            tr.adam_step(params, grads, state, lr=3e-3)
+            want = [oracle(*w, g, t, 3e-3) for w, g in zip(want, grads)]
+        for p, array, m, v, (wp, wm, wv) in zip(params, arrays, state.m, state.v, want):
+            assert p.data is array
+            assert p.data.tobytes() == wp.tobytes()
+            assert m.tobytes() == wm.tobytes() and v.tobytes() == wv.tobytes()
+
+    def test_parameter_over_a_read_only_array_steps_without_touching_it(self):
+        source = frozen_copy([ad.parameter(np.array([1.0, -2.0]))])[0]
+        p = ad.parameter(source)
+        tr.adam_step([p], [np.array([0.5, -0.5])], tr.adam_state([p]), lr=0.1)
+        np.testing.assert_array_equal(source, [1.0, -2.0])
+        assert not source.flags.writeable
+        assert np.all(p.data != source)
 
 
 class TestTrainTask:
