@@ -12,7 +12,9 @@ layer of the head.
 Points are canonically ordered (lexicographic sort) before the MLP:
 mathematically a no-op for this architecture, it guarantees the logits
 are *bit-identical* under any permutation of an object's points, which
-BLAS-backed matmuls do not promise on their own.
+BLAS-backed matmuls do not promise on their own.  A batch whose objects
+are already in that order (the trainer sorts each split once, when it
+stacks it) is checked and not sorted again.
 """
 
 from __future__ import annotations
@@ -47,9 +49,25 @@ class BackboneConfig:
         return (self.widths[-1], *self.head_widths, n_classes)
 
 
+def _in_order(points: np.ndarray) -> bool:
+    """Whether every point set of an (..., n, d) array holds no NaN and has
+    its consecutive points lexicographically non-decreasing.  Equal points,
+    ``-0.0`` against ``0.0`` included, count as in order."""
+    a, b = points[..., :-1, :], points[..., 1:, :]
+    ok = np.ones(a.shape[:-1], dtype=bool)
+    for j in reversed(range(points.shape[-1])):
+        ok = (a[..., j] < b[..., j]) | ((a[..., j] == b[..., j]) & ok)
+    return bool(ok.all()) and not np.isnan(points).any()
+
+
 def canonical_order(points: np.ndarray) -> np.ndarray:
     """Sort each (n, d) point set of an (..., n, d) array lexicographically
-    by coordinates, all sets in one stable sort along the point axis."""
+    by coordinates, all sets in one stable sort along the point axis.
+
+    An array whose sets are already in that order, with no NaN, is returned
+    as it is: a stable sort would leave it unchanged, bit for bit."""
+    if _in_order(points):
+        return points
     order = np.lexsort(np.moveaxis(points, -1, 0)[::-1], axis=-1)
     return np.take_along_axis(points, order[..., None], axis=-2)
 

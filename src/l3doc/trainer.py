@@ -8,9 +8,16 @@ and minimizes ``mam.total_loss`` in every mode: the plain classification
 loss when the archive it is handed is empty, else the attention-weighted
 total.  After a task finishes, its factors are frozen into an
 ``ArchivedTask`` appended to the archive (a plain list), the knowledge
-base is snapshotted for the next task's gap penalty, and every seen task
-is re-evaluated under the *current* knowledge base with its archived
-factors; that re-evaluation is where forgetting shows up.
+base is snapshotted for the next task's gap penalty, and every earlier
+task is re-evaluated under the *current* knowledge base with its archived
+factors; that re-evaluation is where forgetting shows up.  The task just
+finished needs no re-evaluation: its boundary accuracy is its last
+epoch's, taken on the same base, factors and test split.
+
+Each split is stacked once per task into one array with every object's
+points already in canonical order, so ``forward`` finds them sorted and
+does not sort them again; an archive entry keeps its task's stacked test
+split.
 
 Modes: "l3doc" (full method), "finetune" (shared state, no regularizers),
 "stl" (fresh knowledge base and factors per task; its archive entries
@@ -32,7 +39,8 @@ import numpy as np
 from . import autodiff as ad
 from . import mam as mam_mod
 from .autodiff import Tensor
-from .backbone import BackboneConfig, accuracy, classification_loss, forward, one_hot
+from .backbone import (BackboneConfig, accuracy, canonical_order, classification_loss, forward,
+                       one_hot)
 from .datasets import TaskDataset
 from .errors import ConfigError, DataError, NumericError
 from .factorization import (FactorSpec, KnowledgeBase, TaskFactors, frozen_copy,
@@ -112,7 +120,8 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Opti
 
 @dataclass(frozen=True)
 class ArchivedTask:
-    """Immutable end-of-task state: factors, head, and evaluation inputs."""
+    """Immutable end-of-task state: factors, head, and evaluation inputs
+    (the stacked test split, read-only like the factors)."""
 
     task_id: int
     kernels: tuple[np.ndarray, ...]
@@ -121,7 +130,7 @@ class ArchivedTask:
     head_weights: tuple[np.ndarray, ...]
     head_biases: tuple[np.ndarray, ...]
     kb_layers: tuple[np.ndarray, ...] | None
-    dataset: TaskDataset
+    test: tuple[np.ndarray, np.ndarray]
     peak_accuracy: float
 
 
@@ -129,12 +138,16 @@ def archive_task(task_id: int, factors: TaskFactors, dataset: TaskDataset,
                  peak_accuracy: float, kb: KnowledgeBase | None = None) -> ArchivedTask:
     return ArchivedTask(task_id, *map(frozen_copy, factors.groups()),
                         kb_layers=frozen_copy(kb.layers) if kb is not None else None,
-                        dataset=dataset, peak_accuracy=peak_accuracy)
+                        test=_stack_split(dataset.test), peak_accuracy=peak_accuracy)
 
 
 def _stack_split(pairs) -> tuple[np.ndarray, np.ndarray]:
-    batch = np.stack([cloud.points for cloud, _ in pairs])
+    """A split as read-only (objects, n_pts, d) points, each object's in
+    canonical order, and (objects,) labels."""
+    batch = canonical_order(np.stack([cloud.points for cloud, _ in pairs]))
     labels = np.array([label for _, label in pairs], dtype=np.int64)
+    for a in (batch, labels):
+        a.setflags(write=False)
     return batch, labels
 
 
@@ -149,16 +162,17 @@ def _constant_view(factors) -> TaskFactors:
                                           for group in TaskFactors.groups(factors)))
 
 
-def _eval_accuracy(pairs, layers, factors) -> float:
-    batch, labels = _stack_split(pairs)
+def _eval_accuracy(split, layers, factors) -> float:
+    batch, labels = split
     view = _constant_view(factors)
     kernels = reconstruct_layer_kernels([ad.constant(_value(v)) for v in layers], view)
     logits = forward(batch, kernels, view.biases, view.head_weights, view.head_biases)
     return accuracy(logits, labels)
 
 
-def evaluate_task(dataset: TaskDataset, kb: KnowledgeBase, factors: TaskFactors) -> float:
-    return _eval_accuracy(dataset.test, kb.layers, factors)
+def evaluate_task(test: tuple[np.ndarray, np.ndarray], kb: KnowledgeBase, factors: TaskFactors) -> float:
+    """Accuracy of live factors on a split stacked by ``_stack_split``."""
+    return _eval_accuracy(test, kb.layers, factors)
 
 
 def evaluate_archive(kb: KnowledgeBase, archive: Sequence[ArchivedTask]) -> dict[int, float]:
@@ -168,7 +182,7 @@ def evaluate_archive(kb: KnowledgeBase, archive: Sequence[ArchivedTask]) -> dict
     accuracies = {}
     for entry in archive:
         layers = entry.kb_layers if entry.kb_layers is not None else kb.layers
-        accuracies[entry.task_id] = _eval_accuracy(entry.dataset.test, layers, entry)
+        accuracies[entry.task_id] = _eval_accuracy(entry.test, layers, entry)
     return accuracies
 
 
@@ -184,6 +198,7 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
     params = [*kb.layers, *factors.trainable()]
     state = adam_state(params)
     train_batch, train_labels = _stack_split(dataset.train)
+    test = _stack_split(dataset.test)
     n = len(dataset.train)
     steps_per_epoch = -(-n // cfg.batch_size)
     records = []
@@ -214,7 +229,7 @@ def train_task(task_id: int, dataset: TaskDataset, kb: KnowledgeBase,
             raise NumericError(f"non-finite parameter after task {task_id} epoch {epoch}")
         records.append(EpochRecord(task_id=task_id, epoch=epoch,
                                    train_loss=sum(losses) / len(losses),
-                                   test_acc=evaluate_task(dataset, kb, factors),
+                                   test_acc=evaluate_task(test, kb, factors),
                                    wall_ms=wall_ms, steps=steps_per_epoch))
     return factors, records
 
@@ -231,7 +246,8 @@ def check_tasks(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> None:
 
 
 def run_sequence(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> tuple[list[ArchivedTask], RunLog]:
-    """Train the whole sequence, archiving and re-evaluating after each task."""
+    """Train the whole sequence, archiving after each task and re-evaluating
+    the tasks before it."""
     check_tasks(cfg, tasks)  # every task, before any trains
     archive: list[ArchivedTask] = []
     log = RunLog()
@@ -243,11 +259,14 @@ def run_sequence(cfg: ExperimentConfig, tasks: Sequence[TaskDataset]) -> tuple[l
             prev_factors = None
         factors, records = train_task(task_id, dataset, kb, archive, cfg, prev_factors)
         log.epochs.extend(records)
-        # The last epoch's evaluation saw the finished factors and base.
-        archive.append(archive_task(task_id, factors, dataset, records[-1].test_acc,
+        # The last epoch's evaluation saw the finished factors and base on
+        # the same test split: it is the new task's peak and its boundary.
+        peak = records[-1].test_acc
+        archive.append(archive_task(task_id, factors, dataset, peak,
                                     kb=kb if cfg.mode == "stl" else None))
         kb.take_snapshot()
-        for seen_id, acc in sorted(evaluate_archive(kb, archive).items()):
+        for seen_id, acc in sorted(evaluate_archive(kb, archive[:-1]).items()):
             log.boundaries.append(BoundaryRecord(after_task=task_id, task_id=seen_id, test_acc=acc))
+        log.boundaries.append(BoundaryRecord(after_task=task_id, task_id=task_id, test_acc=peak))
         prev_factors = factors
     return archive, log

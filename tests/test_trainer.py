@@ -10,7 +10,7 @@ from l3doc.autodiff import Tensor
 from l3doc import datasets as ds
 from l3doc import mam
 from l3doc import trainer as tr
-from l3doc.backbone import BackboneConfig
+from l3doc.backbone import BackboneConfig, canonical_order
 from l3doc.errors import ConfigError, DataError, NumericError
 from l3doc.factorization import FactorSpec, frozen_copy
 from l3doc.mam import MamConfig
@@ -179,8 +179,9 @@ class TestTrainTask:
 
         monkeypatch.setattr(tr, "forward", forward)
         tr.run_sequence(tiny_cfg(mode=mode, epochs=2, batch_size=3), tiny_tasks(2))
-        # Per task, 2 epochs of 3 steps and an evaluation; then 1 + 2 boundary evaluations.
-        assert len(outputs) == 2 * 2 * (3 + 1) + 3
+        # Per task, 2 epochs of 3 steps and an evaluation.  At the boundaries
+        # only earlier tasks are re-evaluated: none after task 1, one after task 2.
+        assert len(outputs) == 2 * 2 * (3 + 1) + 1
 
 
 class TestRunSequence:
@@ -224,7 +225,7 @@ class TestRunSequence:
         prev = None
         for tid, task in enumerate(tasks, start=1):
             factors, _ = tr.train_task(tid, task, kb, archive, cfg, prev)
-            peak = tr.evaluate_task(task, kb, factors)
+            peak = tr.evaluate_task(tr._stack_split(task.test), kb, factors)
             archive.append(tr.archive_task(tid, factors, task, peak))
             kb.take_snapshot()
             seen.append([frozen_arrays(e) for e in archive])
@@ -238,6 +239,50 @@ class TestRunSequence:
         entry = archive[0]
         with pytest.raises(ValueError):
             entry.kernels[0][0, 0, 0, 0] = 99.0
+
+    def test_archived_test_split_refuses_writes_and_is_in_order(self):
+        task = tiny_tasks(1)[0]
+        archive, _ = tr.run_sequence(tiny_cfg(epochs=1), [task])
+        points, labels = archive[0].test
+        with pytest.raises(ValueError):
+            points[0, 0, 0] = 99.0
+        with pytest.raises(ValueError):
+            labels[0] = 1
+        assert canonical_order(points) is points
+        assert labels.tolist() == [label for _, label in task.test]
+        assert points.tobytes() == canonical_order(np.stack([c.points for c, _ in task.test])).tobytes()
+
+    @pytest.mark.parametrize("mode", tr.MODES)
+    def test_every_forward_is_handed_a_batch_already_in_order(self, monkeypatch, mode):
+        batches = []
+        real_forward = tr.forward
+
+        def forward(batch, *args):
+            batches.append(batch)
+            return real_forward(batch, *args)
+
+        monkeypatch.setattr(tr, "forward", forward)
+        tr.run_sequence(tiny_cfg(mode=mode, epochs=2, batch_size=3), tiny_tasks(2))
+        assert batches and all(canonical_order(b) is b for b in batches)
+
+    @pytest.mark.parametrize("mode", tr.MODES)
+    def test_new_task_boundary_is_its_last_epoch_and_only_earlier_tasks_are_re_evaluated(
+            self, monkeypatch, mode):
+        handed = []
+        real = tr.evaluate_archive
+
+        def spy(kb, archive):
+            handed.append([entry.task_id for entry in archive])
+            return real(kb, archive)
+
+        monkeypatch.setattr(tr, "evaluate_archive", spy)
+        archive, log = tr.run_sequence(tiny_cfg(mode=mode, epochs=2), tiny_tasks(3))
+        # Over T tasks, evaluate_archive sees sum(t - 1) entries.
+        assert handed == [[], [1], [1, 2]]
+        for entry in archive:
+            last = [r for r in log.epochs if r.task_id == entry.task_id][-1]
+            own = log.boundary_accuracies(entry.task_id)[entry.task_id]
+            assert own == last.test_acc == entry.peak_accuracy
 
     @pytest.mark.parametrize("mode", ["stl", "finetune", "l3doc"])
     def test_only_l3doc_reads_snapshot_or_archive(self, mode, monkeypatch):
@@ -377,7 +422,7 @@ class TestEvaluateArchive:
         def peak(n_objects):
             tracemalloc.start()
             try:
-                tr._eval_accuracy(test[:n_objects], kb.layers, factors)
+                tr._eval_accuracy(tr._stack_split(test[:n_objects]), kb.layers, factors)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
