@@ -2,7 +2,8 @@
 
 Subcommands:
   run           execute a task sequence from a JSON config, export metrics
-  count-params  parameter accounting for the three model families
+  count-params  parameter accounting for the two model families, stl
+                (independent per-task models) and l3doc
   gen-synth     write a synthetic PTS dataset in the directory layout
   eval          recompute summary.csv from metrics.jsonl, verify it, and
                 print the run fingerprint (a digest of every deterministic
@@ -10,8 +11,10 @@ Subcommands:
                 task boundary, one column per task (blank where the log
                 holds no record)
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure,
-5 eval mismatch.  A config file that is not UTF-8 and an output path that
+Exit codes: 0 ok, 1 stdout closed before all output was written (a
+broken pipe, as in ``l3doc eval --run DIR | head -1``; nothing is printed
+to stderr), 2 config error, 3 data error, 4 numeric failure, 5 eval
+mismatch.  A config file that is not UTF-8 and an output path that
 cannot be written (--out or out_dir, gen-synth --out) are config errors.
 A ShapeError (operands that do not fit the model) exits 3 too, as a data
 error; point clouds of different shapes within one task, a point file
@@ -31,6 +34,7 @@ import contextlib
 import copy
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -39,7 +43,7 @@ from .backbone import BackboneConfig
 from .datasets import (DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, load_task_from_dir,
                        make_split_plan, write_dataset_dir)
 from .errors import ConfigError, DataError, NumericError
-from .factorization import FactorSpec, count_dfcnn, count_l3doc, count_stl, l3doc_layer_counts
+from .factorization import FactorSpec, count_l3doc, count_stl, l3doc_layer_counts
 from .mam import MamConfig
 from .metrics import cfr_skipped_tasks, export, parse_jsonl, summary_csv_bytes, summary_rows
 from .trainer import MODES, ExperimentConfig, check_tasks, run_sequence
@@ -229,9 +233,6 @@ def cmd_count_params(args) -> int:
     if args.family == "stl":
         print(count_stl(widths, args.tasks))
         return 0
-    if args.family == "dfcnn":
-        print(count_dfcnn(widths, args.u, args.vh, args.vw, args.lh, args.lw, args.lc, args.tasks))
-        return 0
     spec = FactorSpec(widths=widths, n_hat=args.nhat, l_hat=args.lhat, s=args.s)
     total = count_l3doc(spec, args.tasks)
     print(total)
@@ -300,13 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--lhat", type=int, default=FactorSpec.l_hat)
     p_count.add_argument("--s", type=int, default=FactorSpec.s)
     p_count.add_argument("--tasks", type=int, default=1)
-    p_count.add_argument("--family", choices=("stl", "dfcnn", "l3doc"), default="l3doc")
-    p_count.add_argument("--u", type=int, default=1)
-    p_count.add_argument("--vh", type=int, default=1)
-    p_count.add_argument("--vw", type=int, default=1)
-    p_count.add_argument("--lh", type=int, default=1)
-    p_count.add_argument("--lw", type=int, default=1)
-    p_count.add_argument("--lc", type=int, default=1)
+    p_count.add_argument("--family", choices=("stl", "l3doc"), default="l3doc")
     p_count.set_defaults(func=cmd_count_params)
 
     p_gen = sub.add_parser("gen-synth", help="generate a synthetic PTS dataset")
@@ -328,7 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at
+        # interpreter exit does not raise again (Python's SIGPIPE recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 2

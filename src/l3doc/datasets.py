@@ -84,7 +84,6 @@ class TaskDataset:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    seed: int
     tasks: tuple[tuple[str, ...], ...]
 
 
@@ -288,7 +287,7 @@ def make_split_plan(class_names: Sequence[str], num_tasks: int,
     rng = np.random.default_rng(seed)
     tasks = tuple(tuple(rng.choice(names, size=classes_per_task, replace=False).tolist())
                   for _ in range(num_tasks))
-    return SplitPlan(seed=seed, tasks=tasks)
+    return SplitPlan(tasks=tasks)
 
 
 # ------------------------------------------------------- synthetic shapes

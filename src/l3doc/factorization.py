@@ -243,19 +243,6 @@ def count_stl(widths: Sequence[int], t_max: int) -> int:
     return per_model * t_max
 
 
-def count_dfcnn(widths: Sequence[int], u: int, v_h: int, v_w: int,
-                l_h: int, l_w: int, l_c: int, t_max: int) -> int:
-    """Deconvolutional-factorized baseline count:
-    u*(N_W + v_h*v_w*l_h)*t_max + l_h*l_w*l_c."""
-    dims = {"u": u, "v_h": v_h, "v_w": v_w, "l_h": l_h, "l_w": l_w, "l_c": l_c}
-    bad = {k: v for k, v in dims.items() if v < 1}
-    if bad:
-        raise ConfigError(f"dfcnn dimensions must be >= 1, got {bad}")
-    _check_task_count(t_max)
-    n_w = count_stl(widths, 1)
-    return u * (n_w + v_h * v_w * l_h) * t_max + l_h * l_w * l_c
-
-
 def l3doc_layer_counts(spec: FactorSpec, t_max: int) -> list[dict]:
     """Per-layer accounting: per-task factor cost (C and K) times t_max,
     plus the one-off shared knowledge cost."""

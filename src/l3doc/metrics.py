@@ -73,12 +73,12 @@ class RunLog:
         return h.hexdigest()
 
 
-def ppa(trace: Sequence[float], top_frac: float = 0.05) -> float:
-    """Mean of the top ceil(top_frac * epochs) accuracies of a task's own
-    training phase."""
+def ppa(trace: Sequence[float]) -> float:
+    """Mean of the top 5%, ceil(0.05 * epochs), of the accuracies of a
+    task's own training phase."""
     if not trace:
         raise DataError("ppa: empty accuracy trace")
-    k = math.ceil(top_frac * len(trace))
+    k = math.ceil(0.05 * len(trace))
     top = sorted(trace, reverse=True)[:k]
     return sum(top) / len(top)
 

@@ -50,6 +50,7 @@ from .mam import MamConfig
 from .metrics import BoundaryRecord, EpochRecord, RunLog
 
 MODES = ("l3doc", "stl", "finetune")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,31 +90,31 @@ def adam_state(params: Sequence[Tensor]) -> OptimizerState:
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: OptimizerState,
-              lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """Standard adaptive-moment update.
+              lr: float = 1e-3) -> None:
+    """Standard adaptive-moment update with the fixed ``BETA1`` = 0.9,
+    ``BETA2`` = 0.999 and ``EPS`` = 1e-8.
 
     ``m``, ``v`` and every ``p.data`` change in place (the arrays stay the
     same objects), so a graph built from the parameters before the update
     must not be read after it.  Per parameter, two temporaries of its size
-    hold the terms of ``p - lr * m_hat / (sqrt(v_hat) + eps)``, computed
+    hold the terms of ``p - lr * m_hat / (sqrt(v_hat) + EPS)``, computed
     with the same operations in the same order as that expression.
     """
     state.step += 1
     t = state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        step = np.multiply(1 - beta1, g)
-        m *= beta1
+        step = np.multiply(1 - BETA1, g)
+        m *= BETA1
         m += step
-        np.multiply(1 - beta2, g, out=step)
+        np.multiply(1 - BETA2, g, out=step)
         step *= g
-        v *= beta2
+        v *= BETA2
         v += step
-        np.divide(m, 1 - beta1 ** t, out=step)
+        np.divide(m, 1 - BETA1 ** t, out=step)
         step *= lr
-        denom = np.divide(v, 1 - beta2 ** t)
+        denom = np.divide(v, 1 - BETA2 ** t)
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += EPS
         step /= denom
         p.data -= step
 

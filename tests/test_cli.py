@@ -42,6 +42,12 @@ JSONL_LINES = st.one_of(
     st.text(max_size=12))
 
 
+def cli_env() -> dict:
+    """The environment for running ``python -m l3doc.cli`` on this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def write_config(tmp_path, **extra):
     cfg = {
         "schema_version": 1,
@@ -210,11 +216,9 @@ class TestRun:
             (tmp_path / "data" / "tetra" / split / name).write_bytes(content)
         path = write_config(tmp_path, dataset={
             "type": "directory", "root": str(tmp_path / "data"), "tasks": [["tetra"]], "points": 2})
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
         done = subprocess.run([sys.executable, "-m", "l3doc.cli", "run", "--config", str(path),
                                "--out", str(tmp_path / "out")],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=cli_env(), timeout=120)
         bad = tmp_path / "data" / "tetra" / "train" / name
         assert done.returncode == 3
         assert done.stderr.startswith(f"error: data: {bad}: ") and done.stderr.count("\n") == 1, done.stderr
@@ -429,20 +433,22 @@ class TestCountParams:
     def test_invalid_divisibility_exits_2(self, capsys):
         assert cli.main(["count-params", "--family", "l3doc", "--widths", "3,100"]) == 2
 
-    def test_dfcnn_formula(self, capsys):
-        assert cli.main(["count-params", "--family", "dfcnn", "--tasks", "1"]) == 0
-        assert capsys.readouterr().out.strip() == "159938"
-
     @pytest.mark.parametrize("argv", [
         ["--widths", "3,x"],
         ["--widths", ""],
         ["--family", "stl", "--tasks", "-2"],
-        ["--family", "dfcnn", "--u", "-1"],
     ], ids=repr)
     def test_bad_input_exits_2(self, capsys, argv):
         assert cli.main(["count-params", *argv]) == 2
         captured = capsys.readouterr()
         assert "error: config" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--family", "dfcnn"], ["--u", "1"]], ids=repr)
+    def test_no_dfcnn_family_or_options(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["count-params", *argv])
+        assert exited.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestGenSynth:
@@ -597,6 +603,24 @@ class TestEval:
             summary_csv_bytes(summary_rows(parse_jsonl(data)))
         except DataError:
             pass
+
+
+@pytest.mark.parametrize("command", ["eval", "count-params"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
+    argv = ["count-params"]
+    if command == "eval":
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        argv = ["eval", "--run", str(out)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "l3doc.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "", done.stderr
 
 
 class TestDirectoryDataset:

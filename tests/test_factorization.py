@@ -243,18 +243,6 @@ class TestParameterCounts:
     def test_stl_tiny(self):
         assert fz.count_stl((2, 3), 1) == 6
 
-    def test_dfcnn_formula(self):
-        # all auxiliary dims 1: u*(N_W + 1)*t + 1
-        assert fz.count_dfcnn(fz.POINTNET_WIDTHS, 1, 1, 1, 1, 1, 1, 1) == 159938
-
-    def test_dfcnn_monotone_and_exceeds_stl(self):
-        prev = 0
-        for t in range(1, 6):
-            cur = fz.count_dfcnn(fz.POINTNET_WIDTHS, 1, 3, 3, 7, 7, 11, t)
-            assert cur > prev
-            assert cur > fz.count_stl(fz.POINTNET_WIDTHS, t)
-            prev = cur
-
     def test_l3doc_single_layer_hand_arithmetic(self):
         # (n + s^2*w_out*l_out)*t + n*w_in*l_out = (4 + 4*64*2)*10 + 4*3*2
         spec = fz.FactorSpec.group1((3, 64))

@@ -57,7 +57,7 @@ class TestAdam:
         # g=3, fresh state: m_hat=g, v_hat=g^2 -> update = lr*g/(|g|+eps)
         p = ad.parameter(np.array([1.0]))
         state = tr.adam_state([p])
-        tr.adam_step([p], [np.array([3.0])], state, lr=0.1, eps=1e-8)
+        tr.adam_step([p], [np.array([3.0])], state, lr=0.1)
         want = 1.0 - 0.1 * 3.0 / (np.sqrt(9.0) + 1e-8)
         np.testing.assert_allclose(p.data, [want], atol=1e-15)
 
