@@ -4,7 +4,6 @@ Subcommands:
   run           execute a task sequence from a JSON config, export metrics
   count-params  parameter accounting for the two model families, stl
                 (independent per-task models) and l3doc
-  gen-synth     write a synthetic PTS dataset in the directory layout
   eval          recompute summary.csv from metrics.jsonl, verify it, and
                 print the run fingerprint (a digest of every deterministic
                 field of metrics.jsonl) and the accuracy matrix: one row per
@@ -14,13 +13,13 @@ Subcommands:
 Exit codes: 0 ok, 1 stdout closed before all output was written (a
 broken pipe, as in ``l3doc eval --run DIR | head -1``; nothing is printed
 to stderr), 2 config error, 3 data error, 4 numeric failure, 5 eval
-mismatch.  A config file that is not UTF-8 and an output path that
-cannot be written (--out or out_dir, gen-synth --out) are config errors.
-A ShapeError (operands that do not fit the model) exits 3 too, as a data
-error; point clouds of different shapes within one task, a point file
-that cannot be read, parsed or sampled (the error names the file) and a
-task whose point dimension is not the backbone's input width are rejected
-as data errors before any output is written.
+mismatch, 130 interrupted (Ctrl-C; one stderr line).  A config file that
+is not UTF-8 and an output path that cannot be written (--out or out_dir)
+are config errors.  A ShapeError (operands that do not fit the model)
+exits 3 too, as a data error; a class split without .off files, an OFF
+file that cannot be read, parsed or sampled (the error names the file)
+and a task whose point dimension is not the backbone's input width are
+rejected as data errors before any output is written.
 
 The config schema, its defaults and value ranges are documented once, in
 README.md under "Config file"; resolved-config.json lists every key of a
@@ -41,7 +40,7 @@ from pathlib import Path
 from .autodiff import ShapeError
 from .backbone import BackboneConfig
 from .datasets import (DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, load_task_from_dir,
-                       make_split_plan, write_dataset_dir)
+                       make_split_plan)
 from .errors import ConfigError, DataError, NumericError
 from .factorization import FactorSpec, count_l3doc, count_stl, l3doc_layer_counts
 from .mam import MamConfig
@@ -250,15 +249,6 @@ def cmd_count_params(args) -> int:
     return 0
 
 
-def cmd_gen_synth(args) -> int:
-    classes = [c.strip() for c in args.classes.split(",") if c.strip()]
-    data = gen_synthetic(classes, args.per_class, args.points, args.noise, seed=args.seed)
-    with _writing(Path(args.out)):
-        files = write_dataset_dir(Path(args.out), data)
-    print(f"wrote {len(files)} PTS files under {args.out}")
-    return 0
-
-
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     jsonl_path = run_dir / "metrics.jsonl"
@@ -304,16 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--family", choices=("stl", "l3doc"), default="l3doc")
     p_count.set_defaults(func=cmd_count_params)
 
-    p_gen = sub.add_parser("gen-synth", help="generate a synthetic PTS dataset")
-    p_gen.add_argument("--classes", required=True, help="comma-separated primitive names")
-    p_gen.add_argument("--per-class", dest="per_class", type=int,
-                       default=SYNTHETIC_DEFAULTS["per_class"])
-    p_gen.add_argument("--points", type=int, default=SYNTHETIC_DEFAULTS["points"])
-    p_gen.add_argument("--noise", type=float, default=SYNTHETIC_DEFAULTS["noise_sigma"])
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=cmd_gen_synth)
-
     p_eval = sub.add_parser("eval", help="verify summary.csv against metrics.jsonl")
     p_eval.add_argument("--run", required=True)
     p_eval.set_defaults(func=cmd_eval)
@@ -340,6 +320,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"error: numeric: {e}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Point-cloud ingestion, preprocessing, task splits, and synthetic shapes.
 
-File formats:
+File format:
   OFF   standard Object File Format, UTF-8.  A token is what ``str.split``
         yields; ``#`` starts a comment that runs to the end of the line,
         and blank lines are skipped.  The vertex, face and edge counts
@@ -13,10 +13,8 @@ File formats:
         index in [0, v), then any further integers, which are ignored.
         Polygons are fan-triangulated in face order: (i_0, i_j, i_{j+1})
         for j = 1 ... k-2.
-  PTS   text point clouds: line 1 is "n d", then n lines of d
-        space-separated decimal floats (UTF-8, LF).
 
-Dataset directory layout: <root>/<class_name>/{train,test}/*.{off,pts}.
+Dataset directory layout: <root>/<class_name>/{train,test}/*.off.
 """
 
 from __future__ import annotations
@@ -34,12 +32,11 @@ from .errors import ConfigError, DataError
 
 PRIMITIVES = ("sphere", "cube", "cylinder", "cone", "torus", "plane", "helix", "cross")
 
-# Defaults of the optional keys of a run config's two dataset sources; the
-# CLI's config resolver and `l3doc gen-synth` both read them.
+# Defaults of the optional keys of a run config's two dataset sources, which
+# the CLI's config resolver reads.
 SYNTHETIC_DEFAULTS = {"class_pool": PRIMITIVES, "per_class": 20, "points": 128,
                       "noise_sigma": 0.01}
 DIRECTORY_DEFAULTS = {"points": 1024, "normalize": True}
-POINT_FILE_SUFFIXES = (".off", ".pts")
 
 
 @dataclass
@@ -451,78 +448,18 @@ def gen_synthetic(classes: Sequence[str], per_class: int, n_pts: int,
 
 # ----------------------------------------------------------------- file IO
 
-def write_pts(path: Path, points: np.ndarray) -> None:
-    points = np.asarray(points, dtype=np.float64)
-    lines = [f"{points.shape[0]} {points.shape[1]}"]
-    lines += [" ".join(repr(float(x)) for x in row) for row in points]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_pts(data: bytes) -> np.ndarray:
-    """Parse a PTS document; malformed input raises DataError."""
-    lines = _utf8_text(data).splitlines()
-    if not lines:
-        raise DataError("empty PTS file")
-    try:
-        n, d = (int(t) for t in lines[0].split())
-    except ValueError:
-        raise DataError(f"line 1: expected 'n d' header, got {lines[0]!r}") from None
-    if n < 1:
-        raise DataError(f"line 1: point count must be >= 1, got {n}")
-    if d < 1:
-        raise DataError(f"line 1: point dimension must be >= 1, got {d}")
-    if len(lines) < 1 + n:
-        raise DataError(f"header promises {n} points, file has {len(lines) - 1}")
-    rows = list(map(str.split, lines[1:1 + n]))
-    pts = _float_block(rows, n, d) if all(len(toks) == d for toks in rows) else None
-    if pts is None:
-        for ln, toks in enumerate(rows, start=2):
-            if len(toks) != d:
-                raise DataError(f"line {ln}: expected {d} coordinates, got {len(toks)}")
-            if _float_block([toks], 1, d) is None:
-                raise DataError(f"line {ln}: expected floats, got {toks!r}")
-    bad = ~np.isfinite(pts).all(axis=1)
-    if bad.any():
-        raise DataError(f"line {2 + int(bad.argmax())}: non-finite coordinate")
-    return pts
-
-
-def write_dataset_dir(root: Path, dataset: TaskDataset) -> list[Path]:
-    """Write a TaskDataset as <root>/<class>/{train,test}/*.pts."""
-    root = Path(root)
-    written = []
-    counters: dict[tuple[str, str], int] = {}
-    for split_name, pairs in (("train", dataset.train), ("test", dataset.test)):
-        for cloud, label in pairs:
-            cls = dataset.class_names[label]
-            i = counters.get((cls, split_name), 0)
-            counters[(cls, split_name)] = i + 1
-            path = root / cls / split_name / f"{cls}_{i:04d}.pts"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_pts(path, cloud.points)
-            written.append(path)
-    return written
-
-
 def _load_cloud(path: Path, n_pts: int, seed, normalize: bool) -> PointCloud:
-    """A point file as a task's cloud; every failure is a DataError naming the file."""
+    """An OFF mesh as a task's cloud; every failure is a DataError naming the file."""
     try:
         # An overflow is rejected as a DataError; numpy need not warn about it first.
         with np.errstate(over="ignore", invalid="ignore"):
-            data = path.read_bytes()
-            if path.suffix == ".off":
-                # Area-weighted random samples clump; FPS thins 4x as many to
-                # n_pts that cover the surface evenly.
-                pts = sample_mesh(parse_off(data), 4 * n_pts, seed)
-            else:
-                pts = read_pts(data)
-            if pts.shape[0] < n_pts:
-                raise DataError(f"{pts.shape[0]} points < requested {n_pts}")
-            if pts.shape[0] > n_pts:
-                pts = pts[farthest_point_sampling(pts, n_pts)]
+            # Area-weighted random samples clump; FPS thins 4x as many to
+            # n_pts that cover the surface evenly.
+            pts = sample_mesh(parse_off(path.read_bytes()), 4 * n_pts, seed)
+            pts = pts[farthest_point_sampling(pts, n_pts)]
             if normalize:
                 pts = normalize_unit_sphere(pts)
-    except OSError as e:  # a directory or an unreadable entry named like a point file
+    except OSError as e:  # a directory or an unreadable entry named like an OFF file
         raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
@@ -531,8 +468,8 @@ def _load_cloud(path: Path, n_pts: int, seed, normalize: bool) -> PointCloud:
 
 def load_task_from_dir(root: Path, class_names: Sequence[str], task_id: int,
                        n_pts: int, seed=0, normalize: bool = True) -> TaskDataset:
-    """Build a TaskDataset from the directory layout; files are taken in
-    path-sorted order so ingestion is deterministic."""
+    """Build a TaskDataset from the directory layout; the OFF files are
+    taken in path-sorted order so ingestion is deterministic."""
     _check_task(class_names, n_pts)
     root = Path(root)
     train, test = [], []
@@ -541,9 +478,8 @@ def load_task_from_dir(root: Path, class_names: Sequence[str], task_id: int,
         if not cls_dir.is_dir():
             raise DataError(f"missing class directory {cls_dir}")
         for split_name, bucket in (("train", train), ("test", test)):
-            files = [f for f in sorted((cls_dir / split_name).glob("*"))
-                     if f.suffix in POINT_FILE_SUFFIXES]
+            files = sorted((cls_dir / split_name).glob("*.off"))
             if not files:
-                raise DataError(f"no point files under {cls_dir / split_name}")
+                raise DataError(f"no .off files under {cls_dir / split_name}")
             bucket.extend((_load_cloud(f, n_pts, seed, normalize), label) for f in files)
     return TaskDataset(task_id=task_id, class_names=tuple(class_names), train=train, test=test)

@@ -14,10 +14,12 @@ factors; that re-evaluation is where forgetting shows up.  The task just
 finished needs no re-evaluation: its boundary accuracy is its last
 epoch's, taken on the same base, factors and test split.
 
-Each split is stacked once per task into one array with every object's
-points already in canonical order, so ``forward`` finds them sorted and
-does not sort them again; an archive entry keeps its task's stacked test
-split.
+A stacked split is one array with every object's points already in
+canonical order, so ``forward`` finds them sorted and does not sort them
+again.  Per task the training split is stacked once and the test split
+twice: once for the per-epoch evaluation, and once more by
+``archive_task``, which takes the ``TaskDataset``; the archive entry keeps
+that second stack.
 
 Modes: "l3doc" (full method), "finetune" (shared state, no regularizers),
 "stl" (fresh knowledge base and factors per task; its archive entries

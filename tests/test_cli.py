@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l3doc import cli
-from l3doc.datasets import DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, write_dataset_dir
+from l3doc.datasets import DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS
 from l3doc.errors import ConfigError, DataError
 from l3doc.metrics import parse_jsonl, summary_csv_bytes, summary_rows
 from l3doc.trainer import MODES, ExperimentConfig, run_sequence
+from octahedra import octahedron_off, write_octahedra
 from test_acceptance import DESK_SEEDS, _desk_config, _desk_tasks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -173,13 +174,14 @@ class TestRun:
         assert "a.off: line 3: non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, content, where", [
-        ("a.pts", b"4 3\n0 0 0\n1 0 0\n0 1 \xff\n0 0 1\n", "a.pts: line 4: not UTF-8"),
+        ("a.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 \xff\n", "a.off: line 6: not UTF-8"),
         ("a.off", b"OFF\n3 1 0\n0 0 0\n\xc3 0 0\n0 1 0\n3 0 1 2\n", "a.off: line 4: not UTF-8"),
         ("a.off", b"OFF \n 0", "a.off: line 2: expected vertex, face and edge counts"),
-    ], ids=["pts-not-utf8", "off-not-utf8", "off-short-counts"])
+    ], ids=["off-face-not-utf8", "off-not-utf8", "off-short-counts"])
     def test_bad_point_file_exits_3(self, tmp_path, capsys, name, content, where):
+        # The bad file sorts after good octahedra of the same split.
+        write_octahedra(tmp_path / "data", ["tetra"])
         for split in ("train", "test"):
-            (tmp_path / "data" / "tetra" / split).mkdir(parents=True)
             (tmp_path / "data" / "tetra" / split / name).write_bytes(content)
         path = write_config(tmp_path, dataset={
             "type": "directory", "root": str(tmp_path / "data"), "tasks": [["tetra"]], "points": 3})
@@ -188,13 +190,14 @@ class TestRun:
 
     @pytest.mark.parametrize("name, content, message", [
         ("a.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n", "mesh surface area is 0.0"),
-        ("a.pts", b"4 3\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n", "degenerate cloud: zero radius"),
-    ], ids=["zero-area-off", "zero-radius-pts"])
+        # Positive area, but a radius of about 1e-14.
+        ("a.off", octahedron_off(0, 1e-14), "degenerate cloud: zero radius"),
+    ], ids=["zero-area-off", "tiny-off"])
     def test_degenerate_point_file_exits_3_naming_it_once(self, tmp_path, capsys, monkeypatch,
                                                           name, content, message):
         monkeypatch.setattr(cli, "run_sequence", refuse_training)
+        write_octahedra(tmp_path / "data", ["tetra"])
         for split in ("train", "test"):
-            (tmp_path / "data" / "tetra" / split).mkdir(parents=True)
             (tmp_path / "data" / "tetra" / split / name).write_bytes(content)
         path = write_config(tmp_path, dataset={
             "type": "directory", "root": str(tmp_path / "data"), "tasks": [["tetra"]], "points": 3})
@@ -207,12 +210,13 @@ class TestRun:
 
     @pytest.mark.parametrize("name, content", [
         ("a.off", b"OFF\n3 1 0\n0 0 0\n1e200 0 0\n0 1e200 0\n3 0 1 2\n"),
-        ("a.pts", b"3 3\n1e308 0 0\n-1e308 0 0\n1e308 1 0\n"),
-    ], ids=["huge-off", "huge-pts"])
+        # Finite area, but stretched along x until the cloud's radius overflows.
+        ("a.off", octahedron_off(0, np.array([1e300, 1e-300, 1e-300]))),
+    ], ids=["huge-off", "stretched-off"])
     def test_overflowing_point_file_prints_one_stderr_line(self, tmp_path, name, content):
         # numpy warnings go to the real stderr, which capsys does not see.
+        write_octahedra(tmp_path / "data", ["tetra"])
         for split in ("train", "test"):
-            (tmp_path / "data" / "tetra" / split).mkdir(parents=True)
             (tmp_path / "data" / "tetra" / split / name).write_bytes(content)
         path = write_config(tmp_path, dataset={
             "type": "directory", "root": str(tmp_path / "data"), "tasks": [["tetra"]], "points": 2})
@@ -381,9 +385,7 @@ _VALUES = st.one_of(_SMALL, st.floats(allow_nan=True, allow_infinity=True), st.b
 
 @pytest.fixture(scope="module")
 def tiny_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("tiny_dir")
-    write_dataset_dir(root, gen_synthetic(["cube", "sphere"], 3, 8, 0.01, seed=0))
-    return str(root)
+    return str(write_octahedra(tmp_path_factory.mktemp("tiny_dir"), ["cube", "sphere"]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -451,34 +453,11 @@ class TestCountParams:
         assert capsys.readouterr().out == ""
 
 
-class TestGenSynth:
-    def test_writes_layout(self, tmp_path, capsys):
-        out = tmp_path / "data"
-        assert cli.main(["gen-synth", "--classes", "sphere,cube", "--per-class", "10",
-                         "--points", "16", "--noise", "0.01", "--seed", "4",
-                         "--out", str(out)]) == 0
-        files = sorted(out.rglob("*.pts"))
-        assert len(files) == 20
-        assert (out / "sphere" / "train").is_dir() and (out / "cube" / "test").is_dir()
-
-    def test_same_seed_byte_identical(self, tmp_path):
-        args = ["gen-synth", "--classes", "torus", "--per-class", "4", "--points", "8",
-                "--noise", "0.02", "--seed", "7"]
-        assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
-        assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
-        for fa in sorted((tmp_path / "a").rglob("*.pts")):
-            fb = tmp_path / "b" / fa.relative_to(tmp_path / "a")
-            assert fa.read_bytes() == fb.read_bytes()
-
-    def test_unknown_class_exits_2(self):
-        assert cli.main(["gen-synth", "--classes", "pyramid", "--out", "/tmp/x"]) == 2
-
-    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
-        (tmp_path / "file").write_text("")
-        out = tmp_path / "file" / "data"
-        assert cli.main(["gen-synth", "--classes", "sphere", "--per-class", "2", "--points", "4",
-                         "--out", str(out)]) == 2
-        assert_one_error_line(capsys, "config", str(out))
+def test_gen_synth_is_gone(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["gen-synth", "--classes", "sphere,cube", "--out", "data"])
+    assert exited.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestEval:
@@ -605,6 +584,15 @@ class TestEval:
             pass
 
 
+def test_interrupt_exits_130_with_one_stderr_line(tmp_path, capsys, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_sequence", interrupt)
+    assert cli.main(["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]) == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "count-params"])
 def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
     argv = ["count-params"]
@@ -624,57 +612,38 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
 
 
 class TestDirectoryDataset:
-    def test_test_split_of_another_point_dimension_exits_3(self, tmp_path, capsys):
-        # The 4-D test clouds used to reach the model's width check as a
-        # ShapeError after a whole epoch; the task now rejects them on load.
-        data_dir = tmp_path / "data"
-        assert cli.main(["gen-synth", "--classes", "sphere,cube", "--per-class", "3",
-                         "--points", "8", "--out", str(data_dir)]) == 0
-        for path in data_dir.glob("*/test/*.pts"):
-            head, *rows = path.read_text().splitlines()
-            path.write_text("\n".join([head.replace(" 3", " 4")] + [r + " 0.5" for r in rows]) + "\n")
-        cfg = {"schema_version": 1, "epochs": 1, "spec": {"n_hat": 4, "l_hat": 4, "s": 2},
-               "backbone": {"widths": [3, 8, 8], "head_widths": [8]},
-               "dataset": {"type": "directory", "root": str(data_dir), "tasks": [["cube", "sphere"]],
-                           "points": 8}}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+    def test_point_dimension_other_than_the_backbone_input_exits_3(self, tmp_path, capsys):
+        # Every OFF cloud is 3-D, so a 4-wide backbone input rejects the
+        # first task, after every task has loaded and before any output.
+        data_dir = write_octahedra(tmp_path / "data", ["sphere", "cube", "cone", "plane"])
+        path = write_config(tmp_path, backbone={"widths": [4, 8, 8], "head_widths": [8]},
+                            dataset={"type": "directory", "root": str(data_dir), "points": 8,
+                                     "tasks": [["cube", "sphere"], ["cone", "plane"]]})
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert "point clouds disagree on shape" in capsys.readouterr().err
+        assert_one_error_line(capsys, "data", "task 1: point dimension 3 != backbone input 4")
         assert not (tmp_path / "out").exists()
 
     def test_unreadable_point_entry_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_sequence", refuse_training)
-        data_dir = tmp_path / "data"
-        assert cli.main(["gen-synth", "--classes", "sphere,cube", "--per-class", "3",
-                         "--points", "8", "--out", str(data_dir)]) == 0
-        (data_dir / "cube" / "train" / "zz.pts").mkdir()
+        data_dir = write_octahedra(tmp_path / "data", ["sphere", "cube"])
+        (data_dir / "cube" / "train" / "zz.off").mkdir()
         path = write_config(tmp_path, dataset={"type": "directory", "root": str(data_dir),
                                                "tasks": [["cube", "sphere"]], "points": 8})
-        capsys.readouterr()
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert_one_error_line(capsys, "data", "zz.pts: cannot read")
+        assert_one_error_line(capsys, "data", "zz.off: cannot read")
         assert not (tmp_path / "out").exists()
 
-    def test_later_task_of_another_point_dimension_exits_3_before_output(self, tmp_path, capsys):
-        data_dir = tmp_path / "data"
-        assert cli.main(["gen-synth", "--classes", "sphere,cube,cone,plane", "--per-class", "3",
-                         "--points", "8", "--out", str(data_dir)]) == 0
-        for path in [*data_dir.glob("cone/*/*.pts"), *data_dir.glob("plane/*/*.pts")]:
-            head, *rows = path.read_text().splitlines()
-            path.write_text("\n".join([head.replace(" 3", " 4")] + [r + " 0.5" for r in rows]) + "\n")
-        path = write_config(tmp_path, dataset={"type": "directory", "root": str(data_dir), "points": 8,
-                                               "tasks": [["cube", "sphere"], ["cone", "plane"]]})
-        capsys.readouterr()
+    def test_split_of_pts_files_only_exits_3_naming_off(self, tmp_path, capsys):
+        data_dir = write_octahedra(tmp_path / "data", ["sphere", "cube"])
+        for path in (data_dir / "cube" / "train").iterdir():
+            path.rename(path.with_suffix(".pts"))
+        path = write_config(tmp_path, dataset={"type": "directory", "root": str(data_dir),
+                                               "tasks": [["cube", "sphere"]], "points": 8})
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert_one_error_line(capsys, "data", "task 2: point dimension 4 != backbone input 3")
-        assert not (tmp_path / "out" / "resolved-config.json").exists()
+        assert_one_error_line(capsys, "data", f"no .off files under {data_dir / 'cube' / 'train'}")
 
     def test_run_from_generated_directory(self, tmp_path):
-        data_dir = tmp_path / "data"
-        assert cli.main(["gen-synth", "--classes", "sphere,cube", "--per-class", "5",
-                         "--points", "12", "--noise", "0.02", "--seed", "1",
-                         "--out", str(data_dir)]) == 0
+        data_dir = write_octahedra(tmp_path / "data", ["sphere", "cube"])
         cfg = {
             "schema_version": 1,
             "epochs": 1,

@@ -11,6 +11,7 @@ from l3doc import datasets as ds
 from l3doc.errors import ConfigError, DataError
 
 import oracles
+from octahedra import octahedron_off, write_octahedra
 
 TETRA_OFF = """OFF
 4 4 0
@@ -37,12 +38,12 @@ OFF_DOCUMENTS = st.sampled_from([TETRA_OFF, TETRA_FUSED]).map(str.encode)
 # Valid OFF documents with a few bytes spliced in somewhere.
 OFF_SPLICES = st.tuples(OFF_DOCUMENTS, st.binary(max_size=3), st.integers(0, 60)).map(
     lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
-# PTS-shaped documents from tokens a PTS file is made of, plus near misses.
-PTS_DOCUMENTS = st.lists(st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "0.5", "inf", "1e308",
-                                                   "x", ""]), max_size=4), max_size=6).map(
-    lambda rows: "\n".join(" ".join(r) for r in rows).encode())
 
 ZERO_AREA_OFF = b"OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n"
+# Octahedra of positive, finite area whose sampled clouds have a radius of
+# about 1e-14, and one stretched so far along x that the radius overflows.
+TINY_OFF = octahedron_off(0, 1e-14)
+STRETCHED_OFF = octahedron_off(0, np.array([1e300, 1e-300, 1e-300]))
 
 
 # Tokens of near-valid OFF documents, and the near misses a noisy document
@@ -393,6 +394,12 @@ class TestNormalize:
         with pytest.raises(DataError):
             ds.normalize_unit_sphere(np.ones((5, 3)))
 
+    def test_radius_overflow_rejected(self):
+        pts = np.array([[1e308, 0, 0], [-1e308, 0, 0], [1e308, 1, 0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DataError, match="radius overflows"):
+            ds.normalize_unit_sphere(pts)
+
     def test_radius_is_one(self):
         rng = np.random.default_rng(4)
         pts = ds.normalize_unit_sphere(rng.normal(size=(64, 3)) * 7 + 2)
@@ -506,69 +513,6 @@ class TestSynthetic:
 
 
 class TestFileIO:
-    def test_pts_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        pts = rng.normal(size=(12, 3))
-        path = tmp_path / "cloud.pts"
-        ds.write_pts(path, pts)
-        np.testing.assert_array_equal(ds.read_pts(path.read_bytes()), pts)
-
-    def test_pts_rewrite_is_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(9)
-        pts = rng.normal(size=(5, 3))
-        a, b = tmp_path / "a.pts", tmp_path / "b.pts"
-        ds.write_pts(a, pts)
-        ds.write_pts(b, pts)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_pts_header_mismatch(self):
-        with pytest.raises(DataError):
-            ds.read_pts(b"3 3\n0 0 0\n1 1 1\n")
-
-    @pytest.mark.parametrize("row", ["nan 0 0", "0 inf 0"])
-    def test_pts_non_finite_names_its_line(self, row):
-        with pytest.raises(DataError, match="line 4: non-finite"):
-            ds.read_pts(f"3 3\n0 0 0\n1 1 1\n{row}\n".encode())
-
-    @pytest.mark.parametrize("data, message", [
-        (b"2 3\n1 2 3\n1 2\n", "line 3: expected 3 coordinates, got 2"),
-        (b"2 3\n1 2\n1 2\n", "line 2: expected 3 coordinates, got 2"),
-        (b"2 3\n1 2 3 4\n1 2 3\n", "line 2: expected 3 coordinates, got 4"),
-        (b"2 3\n1 2 3\n1 x 3\n", "line 3: expected floats, got ['1', 'x', '3']"),
-        (b"2 3\n1 _ 3\n1 2\n", "line 2: expected floats, got ['1', '_', '3']"),
-        (b"0 3\n", "line 1: point count must be >= 1, got 0"),
-        (b"-1 3\n1 2 3\n", "line 1: point count must be >= 1, got -1"),
-    ])
-    def test_pts_bad_point_block_names_its_line(self, data, message):
-        with pytest.raises(DataError) as info:
-            ds.read_pts(data)
-        assert str(info.value) == message
-
-    def test_pts_non_utf8_names_its_line(self):
-        with pytest.raises(DataError, match="^line 3: not UTF-8"):
-            ds.read_pts(b"2 3\n0 0 0\n1 \xfe 1\n")
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.one_of(st.binary(max_size=40), PTS_DOCUMENTS))
-    def test_any_bytes_read_or_raise_data_error(self, data):
-        try:
-            pts = ds.read_pts(data)
-        except DataError:
-            return
-        n, d = (int(t) for t in data.decode().splitlines()[0].split())
-        assert pts.dtype == np.float64 and pts.shape == (n, d)
-        assert np.isfinite(pts).all()
-
-    def test_dataset_dir_round_trip(self, tmp_path):
-        data = ds.gen_synthetic(["sphere", "cube"], per_class=10, n_pts=32, noise_sigma=0.01, seed=10)
-        files = ds.write_dataset_dir(tmp_path, data)
-        assert len(files) == 20
-        loaded = ds.load_task_from_dir(tmp_path, ("cube", "sphere"), task_id=1,
-                                       n_pts=32, normalize=False)
-        assert len(loaded.train) == len(data.train)
-        assert len(loaded.test) == len(data.test)
-        assert loaded.class_names == ("cube", "sphere")
-
     def test_off_files_load_through_sampling(self, tmp_path):
         (tmp_path / "tetra" / "train").mkdir(parents=True)
         (tmp_path / "tetra" / "test").mkdir(parents=True)
@@ -584,46 +528,32 @@ class TestFileIO:
         # Seeded octahedra, sampled at 4x the requested points so that
         # farthest-point sampling picks every cloud; any change to parsing,
         # sampling, FPS or normalization shows in the digest.
-        unit = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
-        faces = np.array([[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
-                          [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]])
-        rng = np.random.default_rng(17)
-        for cls in ("a", "b"):
-            for split, count in (("train", 3), ("test", 2)):
-                (tmp_path / cls / split).mkdir(parents=True)
-                for i in range(count):
-                    verts = unit * rng.uniform(0.5, 2.0, size=(6, 1)) + rng.normal(0, 0.1, size=(6, 3))
-                    mesh = ds.Mesh(vertices=verts, faces=faces)
-                    (tmp_path / cls / split / f"{i}.off").write_text(ds.serialize_off(mesh))
+        write_octahedra(tmp_path, ("a", "b"))
         task = ds.load_task_from_dir(tmp_path, ("a", "b"), task_id=1, n_pts=64, seed=[3, 301, 0])
         digest = hashlib.sha256()
         for cloud, _ in [*task.train, *task.test]:
             digest.update(cloud.points.tobytes())
         assert digest.hexdigest() == "68f9fee977ea3e8ef86a0eee9c2c746f79baaf056913390a04c6fc0629716a1f"
 
-    def test_pts_non_utf8_names_file_and_line(self, tmp_path):
-        path = tmp_path / "c" / "train" / "bad.pts"
+    def test_off_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c" / "train" / "bad.off"
         path.parent.mkdir(parents=True)
-        path.write_bytes(b"2 3\n0 0 0\n1 \xfe 1\n")
+        path.write_bytes(b"OFF\n3 1 0\n0 0 0\n1 \xfe 1\n0 1 0\n3 0 1 2\n")
         with pytest.raises(DataError) as info:
             ds.load_task_from_dir(tmp_path, ("c",), task_id=1, n_pts=2)
-        assert str(info.value) == f"{path}: line 3: not UTF-8 text"
+        assert str(info.value) == f"{path}: line 4: not UTF-8 text"
 
     @pytest.mark.parametrize("name, content, message", [
         ("a.off", ZERO_AREA_OFF, "mesh surface area is 0.0"),
-        ("a.pts", b"2 3\n1 2 3\n1 2 3\n", "zero radius after centering"),
+        ("a.off", TINY_OFF, "zero radius after centering"),
         ("a.off", b"OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "mesh has no faces"),
         ("a.off", b"OFF\n3 1 0\n0 0 0\n1e200 0 0\n0 1e200 0\n3 0 1 2\n", "mesh surface area is inf"),
         # An infinite radius used to scale the cloud to all zeros.
-        ("a.pts", b"3 3\n1e308 0 0\n-1e308 0 0\n1e308 1 0\n", "radius overflows"),
+        ("a.off", STRETCHED_OFF, "radius overflows"),
         ("a.off", b"OFF\n", "line 1: missing vertex/face counts"),
-        ("a.pts", b"", "empty PTS file"),
-        # A cloud without coordinates used to reach FPS as an IndexError.
-        ("a.pts", b"5 0\n\n\n\n\n\n", "line 1: point dimension must be >= 1"),
-        ("a.pts", b"1 3\n0 0 0\n", "1 points < requested 2"),
-        ("a.pts", None, "cannot read"),
-    ], ids=["zero-area-off", "zero-radius-pts", "faceless-off", "huge-off", "huge-pts", "short-off",
-            "empty-pts", "dimensionless-pts", "few-points-pts", "directory"])
+        ("a.off", None, "cannot read"),
+    ], ids=["zero-area-off", "tiny-off", "faceless-off", "huge-off", "stretched-off", "short-off",
+            "directory"])
     def test_every_load_error_names_the_file_once(self, tmp_path, name, content, message):
         path = tmp_path / "c" / "train" / name
         path.parent.mkdir(parents=True)
@@ -637,13 +567,10 @@ class TestFileIO:
         assert error.startswith(f"{path}: ") and error.count(str(path)) == 1 and message in error
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.tuples(st.just(".off"), st.one_of(st.binary(max_size=60), OFF_SPLICES)),
-                     st.tuples(st.just(".pts"), st.one_of(st.binary(max_size=40), PTS_DOCUMENTS))),
-           st.integers(1, 4), st.booleans())
-    def test_any_point_file_loads_or_names_itself(self, file, n_pts, normalize):
-        suffix, data = file
+    @given(st.one_of(st.binary(max_size=60), OFF_SPLICES), st.integers(1, 4), st.booleans())
+    def test_any_point_file_loads_or_names_itself(self, data, n_pts, normalize):
         with tempfile.TemporaryDirectory() as root:
-            paths = [Path(root, "c", split, "f" + suffix) for split in ("train", "test")]
+            paths = [Path(root, "c", split, "f.off") for split in ("train", "test")]
             for path in paths:
                 path.parent.mkdir(parents=True)
                 path.write_bytes(data)
