@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l3doc import cli
-from l3doc.datasets import DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS
+from l3doc.datasets import DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, PointCloud, TaskDataset, load_task_from_dir
 from l3doc.errors import ConfigError, DataError
 from l3doc.metrics import parse_jsonl, summary_csv_bytes, summary_rows
 from l3doc.trainer import MODES, ExperimentConfig, run_sequence
@@ -621,6 +621,29 @@ class TestDirectoryDataset:
                                      "tasks": [["cube", "sphere"], ["cone", "plane"]]})
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert_one_error_line(capsys, "data", "task 1: point dimension 3 != backbone input 4")
+        assert not (tmp_path / "out").exists()
+
+    def test_later_task_of_another_point_dimension_exits_3_before_output(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        # OFF clouds are 3-D, so the loader pads the second task's clouds
+        # with a fourth coordinate; the first task fits the backbone.
+        def load_padding_task_2(*args, task_id, **kwargs):
+            task = load_task_from_dir(*args, task_id=task_id, **kwargs)
+            if task_id != 2:
+                return task
+
+            def pad(split):
+                return [(PointCloud(np.pad(c.points, ((0, 0), (0, 1)), constant_values=0.5), source=c.source),
+                         label) for c, label in split]
+
+            return TaskDataset(task_id, task.class_names, pad(task.train), pad(task.test))
+
+        monkeypatch.setattr(cli, "load_task_from_dir", load_padding_task_2)
+        data_dir = write_octahedra(tmp_path / "data", ["sphere", "cube", "cone", "plane"])
+        path = write_config(tmp_path, dataset={"type": "directory", "root": str(data_dir), "points": 8,
+                                               "tasks": [["cube", "sphere"], ["cone", "plane"]]})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert_one_error_line(capsys, "data", "task 2: point dimension 4 != backbone input 3")
         assert not (tmp_path / "out").exists()
 
     def test_unreadable_point_entry_exits_3_before_training(self, tmp_path, capsys, monkeypatch):

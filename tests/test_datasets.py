@@ -246,6 +246,40 @@ class TestParseOff:
         with pytest.raises(DataError, match=r"^line 7: face index 3 out of range \[0, 3\)$"):
             ds.parse_off(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty OFF document"),
+        ("# only a comment\n\n", "line 1: empty OFF document"),
+        (b"\xffOFF\n", "line 1: not UTF-8 text"),
+        ("4 4 0\n", "line 1: expected OFF header, got '4'"),
+        ("# c\nPLY\n", "line 2: expected OFF header, got 'PLY'"),
+        ("OFF\n", "line 1: missing vertex/face counts"),
+        ("OFF\n# counts later\n", "line 1: missing vertex/face counts"),
+        ("OFF\n3 1\n", "line 2: expected vertex, face and edge counts, got ['3', '1']"),
+        ("OFF\n3 1.0 0\n", "line 2: expected integers, got ['3', '1.0', '0']"),
+        ("OFF\n3 1 0\n0 0 0\n", "line 2: counts 3 1 exceed file contents"),
+        ("OFF\n-1 0 0\n", "line 2: counts -1 0 exceed file contents"),
+        ("OFF\n1 0 0\n1 x 0\n", "line 3: expected 3 vertex coordinates, got ['1', 'x', '0']"),
+        ("OFF\r\n1 0 0\r\n\r\n1 0\r\n", "line 4: expected 3 vertex coordinates, got ['1', '0']"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 x 2\n", "line 6: expected integers, got ['3', '0', 'x', '2']"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n",
+         "line 6: face needs >= 3 vertex indices, got ['2', '0', '1']"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n",
+         "line 6: face needs >= 3 vertex indices, got ['4', '0', '1', '2']"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 -1 2\n", "line 6: face index -1 out of range [0, 3)"),
+        ("OFF\n3 1 0\n0 0 0 # a\n# b\n1 0 0\n0 1 0\n3 0 1 3\n", "line 7: face index 3 out of range [0, 3)"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n\n3 0 1\n",
+         "line 7: face needs >= 3 vertex indices, got ['3', '0', '1']"),
+    ], ids=["empty", "comments-only", "not-utf8", "no-header", "header-after-comment", "bare-header",
+            "bare-header-then-comment", "two-counts", "float-count", "counts-past-end", "negative-count",
+            "bad-coordinate", "crlf-short-vertex", "bad-face-index", "two-corner-face",
+            "face-short-of-its-count", "negative-face-index", "comments-shift-line",
+            "blank-line-shifts-line"])
+    def test_bad_document_names_its_line(self, text, message):
+        # Line numbers count every physical line, blank and comment lines too.
+        with pytest.raises(DataError) as info:
+            ds.parse_off(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("extra", [str(2 ** 63), str(-2 ** 64), "9" * 30])
     def test_extra_face_token_beyond_int64_is_ignored(self, extra):
         mesh = ds.parse_off(f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 {extra}\n")
@@ -582,6 +616,18 @@ class TestFileIO:
         cloud = task.train[0][0]
         assert cloud.points.shape[0] == n_pts and np.isfinite(cloud.points).all()
         assert cloud.source == str(paths[0])
+
+    def test_off_files_are_taken_in_sorted_order_beside_other_files(self, tmp_path):
+        # Only *.off files are read, in path order within each class and
+        # split, with each class's position in the task as its label.
+        write_octahedra(tmp_path, ("b", "a"), train=3, test=1)
+        for stray in ("notes.txt", "0.pts", "1.OFF"):
+            (tmp_path / "b" / "train" / stray).write_text("not a mesh\n")
+        task = ds.load_task_from_dir(tmp_path, ("b", "a"), task_id=1, n_pts=4)
+        assert [(Path(c.source).relative_to(tmp_path).as_posix(), label) for c, label in task.train] == [
+            ("b/train/0.off", 0), ("b/train/1.off", 0), ("b/train/2.off", 0),
+            ("a/train/0.off", 1), ("a/train/1.off", 1), ("a/train/2.off", 1)]
+        assert [label for _, label in task.test] == [0, 1]
 
     def test_missing_class_dir(self, tmp_path):
         with pytest.raises(DataError):
