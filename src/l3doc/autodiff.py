@@ -5,17 +5,18 @@ classifier composes its graphs from:
 
 - ``relu(x, w, b)``: one dense layer, ``max(x @ w + b, 0)``, as a single
   node (the head's hidden layers);
-- ``max_pool_points(x, ws, bs)``: the whole shared pointwise MLP fused with
-  the max over the point axis.  It runs a few whole objects at a time
+- ``max_pool_points(points, ws, bs)``: the whole shared pointwise MLP fused
+  with the max over the point axis; the points are a plain array of data,
+  and only the layers are operands.  It runs a few whole objects at a time
   through every layer and keeps, per output column, the maximum and the
   first point that attains it (PointNet's critical point), so no layer's
-  (batch, n_pts, w) activation is built at once.  Only the critical
-  points reach the gradient, so forward keeps their input and hidden rows
-  alone, and backward runs the hidden layers over those rows.  A chunk's
-  activations go to a module-level workspace that is reused across calls
-  and never handed out (about 11.5 MB at the paper geometry, about 4 MB
-  at the desk one), and backward walks forward's chunks, so neither pass
-  holds more than one chunk's last-layer block at once;
+  (batch, n_pts, w) activation is built at once.  Only the critical points
+  reach the layers' gradients, so forward keeps their input and hidden
+  rows alone, and backward runs the hidden layers over those rows.  A
+  chunk's activations go to a module-level workspace that is reused across
+  calls and never handed out (about 11.5 MB at the paper geometry, about
+  4 MB at the desk one), and backward walks forward's chunks, so neither
+  pass holds more than one chunk's last-layer block at once;
 - general algebra (``matmul``/``add``/``scale``, ``reshape``, ``sum_all``,
   ``stack_scalars``), numerically stable ``softmax`` and squared-L2
   penalties;
@@ -30,18 +31,19 @@ tracer (bench/tracing.py) wraps ops by name, so every node the package
 builds stays traced.  ``mul``, ``log`` and ``mean`` are not called by the
 package; the tracer still wraps them by name.
 
-Graphs are implicit: every op returns a new :class:`Tensor`.  When an
-operand needs gradient, the result holds its parents and a closure that
-routes the upstream gradient to them, so the DAG is acyclic by
-construction; a result over constants only holds neither, so evaluation
-keeps no activation alive past the op that reads it.  Tensors built into
-a graph, and the gradient arrays backward hands out, are treated as
-immutable; leaves created with ``requires_grad=True`` are the trainable
-parameters, each over its own copy of the data it was built from, and an
-optimizer updates them in place.  :func:`gradients` hands the list it
-returns the only reference to each parameter's gradient and resets the
-parameters' ``grad`` to None, so no gradient outlives the step that
-uses it.
+Every operand of an op is a :class:`Tensor`; data enters a graph as an
+explicit ``constant``.  Graphs are implicit: every op returns a new
+:class:`Tensor`.  When an operand needs gradient, the result holds its
+parents and a closure that routes the upstream gradient to them, so the
+DAG is acyclic by construction; a result over constants only holds
+neither, so evaluation keeps no activation alive past the op that reads
+it.  Tensors built into a graph, and the gradient arrays backward hands
+out, are treated as immutable; leaves created with ``requires_grad=True``
+are the trainable parameters, each over its own copy of the data it was
+built from, and an optimizer updates them in place.  :func:`gradients`
+hands the list it returns the only reference to each parameter's
+gradient and resets the parameters' ``grad`` to None, so no gradient
+outlives the step that uses it.
 """
 
 from __future__ import annotations
@@ -192,10 +194,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backward=None)
     return out
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -206,22 +204,15 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Reduce a broadcast gradient back to the operand's shape.
+    # Sum a broadcast gradient over the leading axes the operand lacks; any
+    # other mismatch is left for _accum's shape check.
     extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    keep = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if keep:
-        g = g.sum(axis=keep, keepdims=True)
-    return g
+    return g.sum(axis=tuple(range(extra))) if extra else g
 
 
-def parameter(data, rng: np.random.Generator | None = None, shape=None, std: float = 0.05) -> Tensor:
+def parameter(data) -> Tensor:
     """Trainable leaf over a float64 copy of ``data``, so an in-place update
-    never writes into the caller's array (which may be read-only).  With
-    ``rng`` and ``shape``, draws i.i.d. normal(0, std) instead."""
-    if rng is not None:
-        return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+    never writes into the caller's array (which may be read-only)."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
@@ -229,8 +220,7 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         out_data = a.data + b.data
     except ValueError:
@@ -243,8 +233,7 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), "add", bw)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         out_data = a.data * b.data
     except ValueError:
@@ -257,8 +246,7 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), "mul", bw)
 
 
-def scale(a, c: float) -> Tensor:
-    a = _lift(a)
+def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def bw(g):
@@ -267,9 +255,8 @@ def scale(a, c: float) -> Tensor:
     return _make(a.data * c, (a,), "scale", bw)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` with a of shape (..., m, k) and b a (k, n) matrix."""
-    a, b = _lift(a), _lift(b)
     if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise _bad_shapes("matmul", a.shape, b.shape)
     out_data = a.data @ b.data
@@ -289,13 +276,12 @@ def _dense_shapes(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
         raise _bad_shapes(op, x.shape, w.shape, b.shape)
 
 
-def relu(x, w, b) -> Tensor:
+def relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """One pointwise layer, ``max(x @ w + b, 0)``, as a single node.
 
     ``x`` is (..., k), ``w`` a (k, f) matrix and ``b`` an (f,) bias.  NaN
     propagates through the activation, so it reaches the loss check.
     """
-    x, w, b = _lift(x), _lift(w), _lift(b)
     _dense_shapes("relu", x, w, b)
     out = x.data @ w.data
     out += b.data
@@ -311,17 +297,14 @@ def relu(x, w, b) -> Tensor:
     return _make(out, (x, w, b), "relu", bw)
 
 
-def log(a) -> Tensor:
-    a = _lift(a)
-
+def log(a: Tensor) -> Tensor:
     def bw(g):
         _accum(a, g / a.data)
 
     return _make(np.log(a.data), (a,), "log", bw)
 
 
-def mean(a) -> Tensor:
-    a = _lift(a)
+def mean(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
         raise _bad_shapes("mean", a.shape)
@@ -332,17 +315,14 @@ def mean(a) -> Tensor:
     return _make(np.asarray(a.data.mean()), (a,), "mean", bw)
 
 
-def sum_all(a) -> Tensor:
-    a = _lift(a)
-
+def sum_all(a: Tensor) -> Tensor:
     def bw(g):
         _accum(a, np.full_like(a.data, float(g)))
 
     return _make(np.asarray(a.data.sum()), (a,), "sum_all", bw)
 
 
-def reshape(a, shape) -> Tensor:
-    a = _lift(a)
+def reshape(a: Tensor, shape) -> Tensor:
     try:
         out_data = a.data.reshape(shape)
     except ValueError:
@@ -354,9 +334,9 @@ def reshape(a, shape) -> Tensor:
     return _make(out_data, (a,), "reshape", bw)
 
 
-def stack_scalars(items: Sequence) -> Tensor:
+def stack_scalars(items: Sequence[Tensor]) -> Tensor:
     """Stack scalar tensors into a length-k vector."""
-    ts = [_lift(x) for x in items]
+    ts = tuple(items)
     if not ts:
         raise ShapeError("stack_scalars: empty input")
     for t in ts:
@@ -368,12 +348,11 @@ def stack_scalars(items: Sequence) -> Tensor:
         for i, t in enumerate(ts):
             _accum(t, np.full_like(t.data, g[i]))
 
-    return _make(out_data, tuple(ts), "stack_scalars", bw)
+    return _make(out_data, ts, "stack_scalars", bw)
 
 
-def sq_l2_diff(a, b) -> Tensor:
+def sq_l2_diff(a: Tensor, b: Tensor) -> Tensor:
     """Sum of squared elementwise differences; shapes must match exactly."""
-    a, b = _lift(a), _lift(b)
     if a.data.shape != b.data.shape:
         raise _bad_shapes("sq_l2_diff", a.shape, b.shape)
     d = a.data - b.data
@@ -391,28 +370,26 @@ def sq_l2_diff(a, b) -> Tensor:
     return _make(out_data, (a, b), "sq_l2_diff", bw)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along ``axis``; outputs are positive and sum to 1."""
-    a = _lift(a)
-    if a.data.ndim == 0 or a.data.shape[axis] == 0:
+def softmax(a: Tensor) -> Tensor:
+    """Max-shifted softmax along the last axis; outputs are positive and sum to 1."""
+    if a.data.ndim == 0 or a.data.shape[-1] == 0:
         raise _bad_shapes("softmax", a.shape)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         _accum(a, p * (g - inner))
 
     return _make(p, (a,), "softmax", bw)
 
 
-def channel_contract(c, d) -> Tensor:
+def channel_contract(c: Tensor, d: Tensor) -> Tensor:
     """Contract a (1,1,n) factor against a (n,a,b) block into (1,1,a,b).
 
     out[0,0,i,j] = sum_k c[0,0,k] * d[k,i,j]
     """
-    c, d = _lift(c), _lift(d)
     if c.data.ndim != 3 or c.data.shape[:2] != (1, 1):
         raise _bad_shapes("channel_contract", c.shape, d.shape)
     if d.data.ndim != 3 or d.data.shape[0] != c.data.shape[2]:
@@ -430,7 +407,7 @@ def channel_contract(c, d) -> Tensor:
     return _make(out_data, (c, d), "channel_contract", bw)
 
 
-def transposed_conv2d(x, k) -> Tensor:
+def transposed_conv2d(x: Tensor, k: Tensor) -> Tensor:
     """Stride-1 transposed convolution, cropped back to the input grid.
 
     ``x`` is an (H, W, c_in) grid, ``k`` an (s, s, c_out, c_in) kernel.
@@ -441,7 +418,6 @@ def transposed_conv2d(x, k) -> Tensor:
 
         out[y, x, o] = sum_{dy,dx,i} x[y-dy, x-dx, i] * k[dy, dx, o, i]
     """
-    x, k = _lift(x), _lift(k)
     if x.data.ndim != 3 or k.data.ndim != 4:
         raise _bad_shapes("transposed_conv2d", x.shape, k.shape)
     h, w, c_in = x.data.shape
@@ -467,57 +443,58 @@ def transposed_conv2d(x, k) -> Tensor:
     return _make(out_data, (x, k), "transposed_conv2d", bw)
 
 
-def max_pool_points(x, ws, bs) -> Tensor:
+def max_pool_points(points: np.ndarray, ws: Sequence[Tensor], bs: Sequence[Tensor]) -> Tensor:
     """The whole shared pointwise MLP and the max over points, as one node.
 
-    ``x`` is (n_pts, k) or (batch, n_pts, k); ``ws`` are the layers' (k, w1),
-    (w1, w2), ... matrices and ``bs`` their biases.  The result, (f,) or
-    (batch, f) for the last width f, is the ReLU MLP applied to every point
-    and maximised over the point axis.  Whole objects run through every
-    layer in chunks of at most ``_POOL_CHUNK`` activations of the widest
-    layer (one object if it alone is larger), keeping each output column's
-    maximum and the first point that attains it, so no layer's
-    (batch, n_pts, w) activation is built for more than one chunk.  Each
-    chunk's hidden activations and its (f, rows) last-layer product are
-    written into the module's workspace, one buffer per layer slot, which
-    grows to the largest chunk seen and is never stored in a tensor or a
-    closure: what the graph keeps is copied out of it.  Its size is bounded
-    by the chunk: about 11.5 MB kept at the paper geometry (1024 points,
-    widths 3-64-64-128-128-1024), about 4 MB at the desk one.
+    ``points`` is a (batch, n_pts, k) array of data, not a Tensor: no
+    gradient flows to it.  ``ws`` are the layers' (k, w1), (w1, w2), ...
+    matrices and ``bs`` their biases, and they are the node's only
+    parents.  The result, (batch, f) for the last width f, is the ReLU MLP
+    applied to every point and maximised over the point axis.  Whole
+    objects run through every layer in chunks of at most ``_POOL_CHUNK``
+    activations of the widest layer (one object if it alone is larger),
+    keeping each output column's maximum and the first point that attains
+    it, so no layer's (batch, n_pts, w) activation is built for more than
+    one chunk.  Each chunk's hidden activations and its (f, rows) last-layer
+    product are written into the module's workspace, one buffer per layer
+    slot, which grows to the largest chunk seen and is never stored in a
+    tensor or a closure: what the graph keeps is copied out of it.  Its
+    size is bounded by the chunk: about 11.5 MB kept at the paper geometry
+    (1024 points, widths 3-64-64-128-128-1024), about 4 MB at the desk one.
 
     Each output column depends only on that point (PointNet's critical
     point), and every other point's row of every layer's gradient is zero.
     So when a gradient will flow, forward keeps the input and hidden rows
     of the critical points alone, and backward runs the hidden layers over
-    those rows; ties go to the lowest index.  Backward walks the same
-    chunks for the last layer, whose weight gradient it sums chunk by
-    chunk, so no array holds more than one chunk's (objects, f, k_last)
-    block.  A NaN is taken as the maximum, so it reaches the loss.
+    those rows, down to the first layer's weights; ties go to the lowest
+    index.  Backward walks the same chunks for the last layer, whose weight
+    gradient it sums chunk by chunk, so no array holds more than one
+    chunk's (objects, f, k_last) block.  A NaN is taken as the maximum, so
+    it reaches the loss.
     """
-    x, ws, bs = _lift(x), [_lift(w) for w in ws], [_lift(b) for b in bs]
-    shapes = [x.shape, *(w.shape for w in ws), *(b.shape for b in bs)]
-    if not ws or len(ws) != len(bs) or x.data.ndim not in (2, 3) or x.data.shape[-2] < 1:
+    if not isinstance(points, np.ndarray):
+        raise TypeError(f"max_pool_points: points must be an ndarray of data, got {type(points).__name__}")
+    shapes = [points.shape, *(w.shape for w in ws), *(b.shape for b in bs)]
+    if not ws or len(ws) != len(bs) or points.ndim != 3 or points.shape[1] < 1:
         raise _bad_shapes("max_pool_points", *shapes)
-    f = x.data.shape[-1]
+    nb, n, f = points.shape
     for w, b in zip(ws, bs):
         if w.data.ndim != 2 or w.data.shape[0] != f or b.data.shape != w.data.shape[1:]:
             raise _bad_shapes("max_pool_points", *shapes)
         f = w.data.shape[1]
-    xs = x.data.reshape(-1, *x.data.shape[-2:])
-    nb, n, k = xs.shape
     objs = max(1, _POOL_CHUNK // (n * max(w.data.shape[1] for w in ws)))
     chunks = range(0, nb, objs)
-    keep = any(t.requires_grad for t in (x, *ws, *bs))
+    keep = any(t.requires_grad for t in (*ws, *bs))
     top = np.empty((nb, f))
-    # Per critical row (in flat batch order): its index and, for each layer,
-    # its input; inverse maps each (object, column) to its critical row
-    # within the chunk, whose rows begin at starts[chunk].
-    rows, kept = [], [[] for _ in ws]
+    # Per layer, the inputs of the critical rows (in flat batch order);
+    # inverse maps each (object, column) to its critical row within the
+    # chunk, whose rows begin at starts[chunk].
+    kept = [[] for _ in ws]
     inverse = np.empty((nb, f), dtype=np.intp)
     starts = [0]
     for o in chunks:
         span = slice(o, o + objs)
-        hs = [xs[span].reshape(-1, k)]
+        hs = [points[span].reshape(-1, points.shape[2])]
         for slot, (w, b) in enumerate(zip(ws[:-1], bs[:-1])):
             h = np.matmul(hs[-1], w.data, out=_workspace_view(slot, len(hs[-1]), w.data.shape[1]))
             h += b.data
@@ -533,22 +510,21 @@ def max_pool_points(x, ws, bs) -> Tensor:
                                    return_inverse=True)
             inverse[span] = inv.reshape(-1, f)
             starts.append(starts[-1] + local.size)
-            rows.append(local + o * n)
             for store, h in zip(kept, hs):
                 store.append(h[local])
     top += bs[-1].data
     np.maximum(top, 0.0, out=top)
     if keep:
         # One layer at a time, each layer's parts freed once joined.
-        rows, ins = _join(rows), []
+        ins = []
         for store in kept:
             ins.append(_join(store))
             store.clear()
 
     def bw(g):
-        gz = g.reshape(nb, f) * (top > 0.0)
+        gz = g * (top > 0.0)
         _accum(bs[-1], gz.sum(axis=0))
-        hidden = len(ws) > 1 or x.requires_grad
+        hidden = len(ws) > 1
         w_last = ws[-1].data
         kl = w_last.shape[0]
         gw = None
@@ -566,19 +542,14 @@ def max_pool_points(x, ws, bs) -> Tensor:
                                         minlength=(hi - lo) * kl).reshape(hi - lo, kl)
         if gw is not None:
             _accum(ws[-1], gw)
-        if not hidden:
-            return
         for i in reversed(range(len(ws) - 1)):
             gh *= ins[i + 1] > 0.0
             _accum(bs[i], gh.sum(axis=0))
             _accum(ws[i], ins[i].T @ gh)
-            gh = gh @ ws[i].data.T
-        if x.requires_grad:
-            gx = np.zeros((nb * n, k))
-            gx[rows] = gh
-            _accum(x, gx.reshape(x.data.shape))
+            if i:
+                gh = gh @ ws[i].data.T
 
-    return _make(top.reshape(x.data.shape[:-2] + (f,)), (x, *ws, *bs), "max_pool_points", bw)
+    return _make(top, (*ws, *bs), "max_pool_points", bw)
 
 
 def gradients(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

@@ -83,9 +83,8 @@ def forward(batch: np.ndarray, kernels: Sequence[Tensor], biases: Sequence[Tenso
     for i, k in enumerate(kernels):
         if k.shape[:2] != (1, 1) or k.shape[2] != chain[i]:
             raise ShapeError(f"forward: layer {i + 1} kernel {k.shape} breaks width chain {chain}")
-    x = ad.constant(canonical_order(batch))
     ws = [ad.reshape(k, (int(k.shape[2]), int(k.shape[3]))) for k in kernels]
-    h = ad.max_pool_points(x, ws, biases)
+    h = ad.max_pool_points(canonical_order(batch), ws, biases)
     for w, b in zip(head_weights[:-1], head_biases[:-1]):
         h = ad.relu(h, w, b)
     return ad.add(ad.matmul(h, head_weights[-1]), head_biases[-1])
@@ -109,7 +108,7 @@ def classification_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     if tuple(targets.shape) != tuple(logits.shape):
         raise ShapeError(f"classification_loss: targets {targets.shape} vs logits {logits.shape}")
     b = targets.shape[0]
-    probs = ad.softmax(logits, axis=-1)
+    probs = ad.softmax(logits)
     return ad.scale(ad.sq_l2_diff(probs, ad.constant(targets)), 1.0 / b)
 
 

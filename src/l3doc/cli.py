@@ -16,10 +16,11 @@ to stderr), 2 config error, 3 data error, 4 numeric failure, 5 eval
 mismatch, 130 interrupted (Ctrl-C; one stderr line).  A config file that
 is not UTF-8 and an output path that cannot be written (--out or out_dir)
 are config errors.  A ShapeError (operands that do not fit the model)
-exits 3 too, as a data error; a class split without .off files, an OFF
-file that cannot be read, parsed or sampled (the error names the file)
-and a task whose point dimension is not the backbone's input width are
-rejected as data errors before any output is written.
+exits 3 too, as a data error; a class split without .off files and an
+OFF file that cannot be read, parsed or sampled (the error names the
+file) are rejected as data errors before any output is written.  A
+``backbone.widths[0]`` other than 3, the coordinates per point of every
+dataset, is a config error, found before any dataset is read.
 
 The config schema, its defaults and value ranges are documented once, in
 README.md under "Config file"; resolved-config.json lists every key of a
@@ -39,8 +40,8 @@ from pathlib import Path
 
 from .autodiff import ShapeError
 from .backbone import BackboneConfig
-from .datasets import (DIRECTORY_DEFAULTS, SYNTHETIC_DEFAULTS, gen_synthetic, load_task_from_dir,
-                       make_split_plan)
+from .datasets import (DIRECTORY_DEFAULTS, POINT_DIM, SYNTHETIC_DEFAULTS, gen_synthetic,
+                       load_task_from_dir, make_split_plan)
 from .errors import ConfigError, DataError, NumericError
 from .factorization import FactorSpec, count_l3doc, count_stl, l3doc_layer_counts
 from .mam import MamConfig
@@ -157,6 +158,10 @@ def experiment_from_resolved(resolved: dict) -> ExperimentConfig:
 
 
 def build_tasks(resolved: dict) -> list:
+    widths = list(resolved["backbone"]["widths"])
+    if widths[:1] != [POINT_DIM]:
+        raise ConfigError(f"backbone.widths[0] must be {POINT_DIM}, the coordinates per point of "
+                          f"every dataset, got widths {widths}")
     seed, d = resolved["seed"], resolved["dataset"]
     if "tasks" in d:
         plans = d["tasks"]

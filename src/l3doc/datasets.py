@@ -30,13 +30,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-PRIMITIVES = ("sphere", "cube", "cylinder", "cone", "torus", "plane", "helix", "cross")
-
-# Defaults of the optional keys of a run config's two dataset sources, which
-# the CLI's config resolver reads.
-SYNTHETIC_DEFAULTS = {"class_pool": PRIMITIVES, "per_class": 20, "points": 128,
-                      "noise_sigma": 0.01}
-DIRECTORY_DEFAULTS = {"points": 1024, "normalize": True}
+# Coordinates per point: every dataset source, OFF meshes and the synthetic
+# primitives alike, gives 3-D clouds.
+POINT_DIM = 3
 
 
 @dataclass
@@ -224,8 +220,9 @@ def sample_mesh(mesh: Mesh, n_pts: int, seed) -> np.ndarray:
 
 # ----------------------------------------------------------- preprocessing
 
-def farthest_point_sampling(pts: np.ndarray, k: int, start_index: int = 0) -> np.ndarray:
-    """Greedy max-min subset of k point indices, ties to the lowest index.
+def farthest_point_sampling(pts: np.ndarray, k: int) -> np.ndarray:
+    """Greedy max-min subset of k point indices, starting at index 0, ties
+    to the lowest index.
 
     The (n, d) cloud is copied once as d contiguous length-n rows, one per
     coordinate, and each pick updates the nearest-selected distances with a
@@ -238,13 +235,10 @@ def farthest_point_sampling(pts: np.ndarray, k: int, start_index: int = 0) -> np
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise DataError(f"cannot select {k} points from {n}")
-    if not 0 <= start_index < n:
-        raise DataError(f"start index {start_index} out of range [0, {n})")
     cols = np.ascontiguousarray(pts.T)
     dist = np.full(n, np.inf)
     sq, term = np.empty(n), np.empty(n)
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = start_index
+    chosen = np.zeros(k, dtype=np.int64)
     for i in range(1, k):
         p = chosen[i - 1]
         np.subtract(cols[0], cols[0, p], out=sq)
@@ -397,6 +391,13 @@ _SAMPLERS = {
     "sphere": _sphere, "cube": _cube, "cylinder": _cylinder, "cone": _cone,
     "torus": _torus, "plane": _plane, "helix": _helix, "cross": _cross,
 }
+PRIMITIVES = tuple(_SAMPLERS)
+
+# Defaults of the optional keys of a run config's two dataset sources, which
+# the CLI's config resolver reads.
+SYNTHETIC_DEFAULTS = {"class_pool": PRIMITIVES, "per_class": 20, "points": 128,
+                      "noise_sigma": 0.01}
+DIRECTORY_DEFAULTS = {"points": 1024, "normalize": True}
 
 
 def random_rotation(rng) -> np.ndarray:

@@ -125,7 +125,7 @@ class KnowledgeBase:
 
 def init_knowledge_base(spec: FactorSpec, seed) -> KnowledgeBase:
     rng = np.random.default_rng(seed)
-    layers = [ad.parameter(None, rng, spec.knowledge_shape(l), std=INIT_STD)
+    layers = [ad.parameter(rng.normal(0.0, INIT_STD, spec.knowledge_shape(l)))
               for l in range(spec.num_layers)]
     return KnowledgeBase(layers)
 
@@ -160,7 +160,7 @@ def _init_head(head_dims: Sequence[int], rng: np.random.Generator):
     for i, (d_in, d_out) in enumerate(zip(head_dims, head_dims[1:])):
         last = i == len(head_dims) - 2
         std = 1e-4 if last else math.sqrt(2.0 / d_in)
-        weights.append(ad.parameter(None, rng, (d_in, d_out), std=std))
+        weights.append(ad.parameter(rng.normal(0.0, std, (d_in, d_out))))
         biases.append(ad.parameter(np.zeros(d_out)))
     return weights, biases
 
@@ -186,9 +186,9 @@ def init_or_inherit_factors(prev: TaskFactors | None, spec: FactorSpec,
     rng = np.random.default_rng(seed)
     if prev is None:
         stds = [factor_init_std(spec, l) for l in range(spec.num_layers)]
-        kernels = [ad.parameter(None, rng, spec.kernel_shape(l), std=stds[l])
+        kernels = [ad.parameter(rng.normal(0.0, stds[l], spec.kernel_shape(l)))
                    for l in range(spec.num_layers)]
-        contractions = [ad.parameter(None, rng, spec.contraction_shape(l), std=stds[l])
+        contractions = [ad.parameter(rng.normal(0.0, stds[l], spec.contraction_shape(l)))
                         for l in range(spec.num_layers)]
         biases = [ad.parameter(np.zeros(spec.widths[l + 1])) for l in range(spec.num_layers)]
     else:

@@ -92,7 +92,7 @@ def adam_state(params: Sequence[Tensor]) -> OptimizerState:
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: OptimizerState,
-              lr: float = 1e-3) -> None:
+              lr: float) -> None:
     """Standard adaptive-moment update with the fixed ``BETA1`` = 0.9,
     ``BETA2`` = 0.999 and ``EPS`` = 1e-8.
 

@@ -115,8 +115,8 @@ class TestTransposedConv2d:
 
 def mlp_reference(x, ws, bs, g):
     """max_pool_points and its gradients from the full activation blocks of
-    every layer: the pooled output, the input gradient, then each layer's
-    weight gradient and each layer's bias gradient."""
+    every layer: the pooled output, then each layer's weight gradient and
+    each layer's bias gradient."""
     hs, zs = [x], []
     for w, b in zip(ws, bs):
         zs.append(hs[-1] @ w + b)
@@ -131,7 +131,7 @@ def mlp_reference(x, ws, bs, g):
         gws.insert(0, h.reshape(-1, h.shape[-1]).T @ flat)
         gbs.insert(0, flat.sum(axis=0))
         ga = ga @ w.T
-    return [hs[-1].max(axis=-2), ga, *gws, *gbs]
+    return [hs[-1].max(axis=-2), *gws, *gbs]
 
 
 def chunk_objects(objs, n, f):
@@ -141,10 +141,10 @@ def chunk_objects(objs, n, f):
 
 
 def pool_grads(x, ws, bs, g):
-    x, ws, bs = ad.parameter(x), [ad.parameter(w) for w in ws], [ad.parameter(b) for b in bs]
+    ws, bs = [ad.parameter(w) for w in ws], [ad.parameter(b) for b in bs]
     out = ad.max_pool_points(x, ws, bs)
     ad.sum_all(ad.mul(out, Tensor(g))).backward()
-    return [out.data, x.grad, *(w.grad for w in ws), *(b.grad for b in bs)]
+    return [out.data, *(w.grad for w in ws), *(b.grad for b in bs)]
 
 
 def tied_mlp(rng, widths):
@@ -171,23 +171,24 @@ class TestMaxPoolPoints:
     """The shared pointwise MLP fused with the max over points."""
 
     def test_definition(self):
-        out = ad.max_pool_points(Tensor([[1.0, 5.0], [3.0, 2.0]]), [Tensor(np.eye(2))], [Tensor(np.zeros(2))])
-        np.testing.assert_array_equal(out.data, [3.0, 5.0])
+        x = np.array([[[1.0, 5.0], [3.0, 2.0]]])
+        out = ad.max_pool_points(x, [Tensor(np.eye(2))], [Tensor(np.zeros(2))])
+        np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
 
     def test_single_point_identity_after_activation(self):
-        out = ad.max_pool_points(Tensor([[4.0, -7.0]]), [Tensor(np.eye(2))], [Tensor(np.zeros(2))])
-        np.testing.assert_array_equal(out.data, [4.0, 0.0])
+        out = ad.max_pool_points(np.array([[[4.0, -7.0]]]), [Tensor(np.eye(2))], [Tensor(np.zeros(2))])
+        np.testing.assert_array_equal(out.data, [[4.0, 0.0]])
 
     def test_hidden_layer_activation_applies_before_the_next(self):
         # Layer 1 gives (1, -2) then (-3, 4); its ReLU zeroes the negatives,
         # so layer 2's sum column reads 1 and 4, not -1 and 1.
-        x = Tensor([[1.0, -2.0], [-3.0, 4.0]])
+        x = np.array([[[1.0, -2.0], [-3.0, 4.0]]])
         out = ad.max_pool_points(x, [Tensor(np.eye(2)), Tensor([[1.0], [1.0]])],
                                  [Tensor(np.zeros(2)), Tensor([0.0])])
-        np.testing.assert_array_equal(out.data, [4.0])
+        np.testing.assert_array_equal(out.data, [[4.0]])
 
     @pytest.mark.parametrize("widths", MLP_WIDTHS)
-    @pytest.mark.parametrize("shape", [(13, 3), (5, 13, 3), (5, 2, 3)])
+    @pytest.mark.parametrize("shape", [(1, 13, 3), (5, 13, 3), (5, 2, 3)])
     @pytest.mark.parametrize("objs", CHUNK_OBJECTS)
     def test_matches_numpy_reference(self, shape, objs, widths):
         rng = np.random.default_rng(21)
@@ -232,7 +233,7 @@ class TestMaxPoolPoints:
             return real(a, *args, **kwargs)
 
         with mock.patch.object(ad, "_POOL_CHUNK", 40 * 10), mock.patch.object(ad.np, "maximum", spy):
-            ad.max_pool_points(Tensor(x), ws, bs)
+            ad.max_pool_points(x, ws, bs)
         assert seen == [10, 10, 10]
 
     @settings(max_examples=40, deadline=None)
@@ -246,23 +247,31 @@ class TestMaxPoolPoints:
         bs = [Tensor(rng.integers(-4, 5, size=w.shape[1]).astype(float)) for w in ws]
         perm = rng.permutation(n)
         with chunk_objects(objs, n, max(4, f)):
-            a = ad.max_pool_points(Tensor(x), ws, bs).data
-            c = ad.max_pool_points(Tensor(x[:, perm]), ws, bs).data
+            a = ad.max_pool_points(x, ws, bs).data
+            c = ad.max_pool_points(x[:, perm], ws, bs).data
         assert np.array_equal(a, c)
 
     @pytest.mark.parametrize("objs", CHUNK_OBJECTS)
     def test_tie_breaks_to_lowest_index(self, objs):
-        # Every object's column 0 ties at 2.0; its gradient must land on row 0.
-        x = ad.parameter(np.tile([[2.0, 1.0], [2.0, 3.0]], (5, 1, 1)))
+        # Every object's column 0 ties at 2.0 between rows (2, 1) and
+        # (2, 3).  Through the identity layer, column j of the weight
+        # gradient sums each object's critical row, so it must read row 0.
+        x = np.tile([[2.0, 1.0], [2.0, 3.0]], (5, 1, 1))
+        w = ad.parameter(np.eye(2))
         with chunk_objects(objs, 2, 2):
-            ad.sum_all(ad.max_pool_points(x, [Tensor(np.eye(2))], [Tensor(np.zeros(2))])).backward()
-        np.testing.assert_array_equal(x.grad, np.tile([[1.0, 0.0], [0.0, 1.0]], (5, 1, 1)))
+            ad.sum_all(ad.max_pool_points(x, [w], [Tensor(np.zeros(2))])).backward()
+        np.testing.assert_array_equal(w.grad, 5.0 * np.array([[2.0, 2.0], [1.0, 3.0]]))
+
+    def test_points_are_data_not_a_tensor(self):
+        with pytest.raises(TypeError, match="max_pool_points"):
+            ad.max_pool_points(ad.parameter(np.ones((1, 2, 2))), [Tensor(np.eye(2))], [Tensor(np.zeros(2))])
 
     @pytest.mark.parametrize("objs", CHUNK_OBJECTS)
     @pytest.mark.parametrize("obj", [0, 4])
     def test_nan_reaches_the_output(self, objs, obj):
-        out = ad.max_pool_points(Tensor([[1.0, 0.0], [3.0, 2.0]]), [Tensor(np.eye(2))], [Tensor([0.0, np.nan])])
-        assert out.data[0] == 3.0 and np.isnan(out.data[1])
+        out = ad.max_pool_points(np.array([[[1.0, 0.0], [3.0, 2.0]]]), [Tensor(np.eye(2))],
+                                 [Tensor([0.0, np.nan])])
+        assert out.data[0, 0] == 3.0 and np.isnan(out.data[0, 1])
         # A NaN point in the first object's chunk or in the last one, through
         # a hidden layer.
         one = [Tensor([[1.0]])], [Tensor([0.0])]
@@ -271,7 +280,7 @@ class TestMaxPoolPoints:
                 for row in (0, 2):
                     x = np.tile([[1.0], [3.0], [0.5]], (5, 1, 1))
                     x[obj, row] = np.nan
-                    out = ad.max_pool_points(Tensor(x), ws, bs).data
+                    out = ad.max_pool_points(x, ws, bs).data
                     assert np.isnan(out[obj, 0])
                     np.testing.assert_array_equal(np.delete(out, obj, axis=0), 3.0)
 
@@ -281,29 +290,30 @@ class TestMaxPoolPoints:
     def test_gradient_lands_on_first_maximum(self, n, f, objs, seed):
         # Few distinct values, so columns tie often; an all-zero column
         # sits below the activation and gets no gradient.  The identity
-        # hidden layer passes the points through unchanged.
-        x = ad.parameter(np.random.default_rng(seed).integers(0, 3, size=(5, n, f)).astype(float))
-        eye, zero = Tensor(np.eye(f)), Tensor(np.zeros(f))
+        # layers pass the points through unchanged, so column j of either
+        # weight gradient sums each object's first maximum row of column j.
+        x = np.random.default_rng(seed).integers(0, 3, size=(5, n, f)).astype(float)
+        ws, zero = [ad.parameter(np.eye(f)) for _ in range(2)], Tensor(np.zeros(f))
         with chunk_objects(objs, n, f):
-            ad.sum_all(ad.max_pool_points(x, [eye, eye], [zero, zero])).backward()
-        want = np.zeros_like(x.data)
-        np.put_along_axis(want, np.argmax(x.data, axis=1)[:, None], 1.0, axis=1)
-        want *= x.data.max(axis=1, keepdims=True) > 0
-        np.testing.assert_array_equal(x.grad, want)
+            ad.sum_all(ad.max_pool_points(x, ws, [zero, zero])).backward()
+        critical = np.take_along_axis(x, np.argmax(x, axis=1)[..., None], axis=1)  # (5, f, f)
+        want = np.einsum("ojk,oj->kj", critical, x.max(axis=1) > 0)
+        for w in ws:
+            np.testing.assert_array_equal(w.grad, want)
 
     @pytest.mark.parametrize("widths", [(3, 4), (3, 5, 4)])
-    @pytest.mark.parametrize("shape", [(6, 3), (5, 4, 3)])
+    @pytest.mark.parametrize("shape", [(1, 6, 3), (5, 4, 3)])
     def test_gradients_match_central_differences(self, shape, widths):
         rng = np.random.default_rng(23)
-        x = ad.parameter(None, rng, shape, std=1.0)
-        ws = [ad.parameter(None, rng, (wi, wo), std=1.0) for wi, wo in zip(widths, widths[1:])]
-        bs = [ad.parameter(None, rng, (wo,), std=0.1) for wo in widths[1:]]
+        x = rng.normal(0.0, 1.0, shape)
+        ws = [ad.parameter(rng.normal(0.0, 1.0, (wi, wo))) for wi, wo in zip(widths, widths[1:])]
+        bs = [ad.parameter(rng.normal(0.0, 0.1, (wo,))) for wo in widths[1:]]
         bs[-1].data[-1] = -50.0
         target = Tensor(rnd(rng, *shape[:-2], 4))
-        params = [x, *ws, *bs]
+        params = [*ws, *bs]
         # Differences of 1e-4 must not cross a kink: no hidden pre-activation
         # near zero, no near-tie, no live column near zero.
-        h = x.data
+        h = x
         for w, b in zip(ws[:-1], bs[:-1]):
             z = h @ w.data + b.data
             assert np.min(np.abs(z)) > 0.01
@@ -321,17 +331,18 @@ class TestMaxPoolPoints:
             assert oracles.grads_close(a, n, tol=1e-3)
 
     def test_shape_mismatch_rejected(self):
-        eye, zero = Tensor(np.eye(3)), Tensor(np.zeros(3))
+        eye, zero, two = Tensor(np.eye(3)), Tensor(np.zeros(3)), Tensor(np.zeros(2))
         for x, ws, bs in [
-            (np.zeros((2, 3)), [np.zeros((4, 2))], [np.zeros(2)]),
-            (np.zeros((2, 0, 3)), [np.zeros((3, 2))], [np.zeros(2)]),
-            (np.zeros((2, 3)), [eye, np.zeros((4, 2))], [zero, np.zeros(2)]),
-            (np.zeros((2, 3)), [eye, eye], [zero, np.zeros(2)]),
-            (np.zeros((2, 3)), [eye, eye], [zero]),
-            (np.zeros((2, 3)), [], []),
+            (np.zeros((1, 2, 3)), [Tensor(np.zeros((4, 2)))], [two]),
+            (np.zeros((2, 0, 3)), [Tensor(np.zeros((3, 2)))], [two]),
+            (np.zeros((1, 2, 3)), [eye, Tensor(np.zeros((4, 2)))], [zero, two]),
+            (np.zeros((1, 2, 3)), [eye, eye], [zero, two]),
+            (np.zeros((1, 2, 3)), [eye, eye], [zero]),
+            (np.zeros((1, 2, 3)), [], []),
+            (np.zeros((2, 3)), [eye], [zero]),
         ]:
             with pytest.raises(ShapeError, match="max_pool_points"):
-                ad.max_pool_points(Tensor(x), ws, bs)
+                ad.max_pool_points(x, ws, bs)
 
     @pytest.mark.parametrize("widths", MLP_WIDTHS)
     def test_later_calls_leave_a_built_graph_intact(self, widths):
@@ -342,14 +353,12 @@ class TestMaxPoolPoints:
         ws, bs = tied_mlp(rng, widths)
         with chunk_objects(2, 7, 6):
             want = pool_grads(x, ws, bs, g)
-            a, xa = [ad.parameter(w) for w in ws], ad.parameter(x)
-            ba = [ad.parameter(b) for b in bs]
-            out = ad.max_pool_points(xa, a, ba)
+            a, ba = [ad.parameter(w) for w in ws], [ad.parameter(b) for b in bs]
+            out = ad.max_pool_points(x, a, ba)
             pool_grads(rng.normal(size=(3, 7, 3)), ws, bs, rng.normal(size=(3, 6)))
-            ad.max_pool_points(Tensor(rng.normal(size=(5, 7, 3))), [Tensor(w) for w in ws],
-                               [Tensor(b) for b in bs])
+            ad.max_pool_points(rng.normal(size=(5, 7, 3)), [Tensor(w) for w in ws], [Tensor(b) for b in bs])
             ad.sum_all(ad.mul(out, Tensor(g))).backward()
-        got = [out.data, xa.grad, *(w.grad for w in a), *(b.grad for b in ba)]
+        got = [out.data, *(w.grad for w in a), *(b.grad for b in ba)]
         for p, q in zip(got, want):
             assert np.array_equal(p, q)
 
@@ -359,11 +368,11 @@ class TestMaxPoolPoints:
         # grows with the batch is a few (batch, 512) arrays and the rows of
         # at most 8 critical points per object.
         rng = np.random.default_rng(26)
-        ws = [ad.parameter(None, rng, shape) for shape in ((3, 64), (64, 512))]
-        bs = [ad.parameter(None, rng, (w,)) for w in (64, 512)]
+        ws = [ad.parameter(rng.normal(0.0, 0.05, shape)) for shape in ((3, 64), (64, 512))]
+        bs = [ad.parameter(rng.normal(0.0, 0.05, w)) for w in (64, 512)]
 
         def peak(n_objects):
-            loss = ad.sum_all(ad.max_pool_points(Tensor(rng.normal(size=(n_objects, 8, 3))), ws, bs))
+            loss = ad.sum_all(ad.max_pool_points(rng.normal(size=(n_objects, 8, 3)), ws, bs))
             for p in (*ws, *bs):
                 p.grad = None
             tracemalloc.start()
@@ -387,7 +396,7 @@ class TestMaxPoolPoints:
         lift = ad.parameter if grad else Tensor
         ws = [lift(rng.normal(size=shape)) for shape in ((3, 16), (16, 32))]
         bs = [lift(rng.normal(size=w)) for w in (16, 32)]
-        x = Tensor(rng.normal(size=(3, 2048, 3)))
+        x = rng.normal(size=(3, 2048, 3))
         with chunk_objects(1, 2048, 32):
             ad.max_pool_points(x, ws, bs)
             tracemalloc.start()
@@ -406,7 +415,7 @@ class TestMaxPoolPoints:
         widths = (3, 32, 32, 32, 256)
         ws = [ad.parameter(rnd(rng, wi, wo)) for wi, wo in zip(widths, widths[1:])]
         bs = [ad.parameter(rnd(rng, wo)) for wo in widths[1:]]
-        x = Tensor(rnd(rng, 16, 256, 3))
+        x = rnd(rng, 16, 256, 3)
         with chunk_objects(4, 256, 256):
             ad.max_pool_points(x, ws, bs)
             tracemalloc.start()
@@ -446,9 +455,9 @@ class TestRelu:
     @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)])
     def test_gradients_match_central_differences(self, shape):
         rng = np.random.default_rng(20)
-        x = ad.parameter(None, rng, shape, std=1.0)
-        w = ad.parameter(None, rng, (3, 4), std=1.0)
-        b = ad.parameter(None, rng, (4,), std=1.0)
+        x = ad.parameter(rng.normal(0.0, 1.0, shape))
+        w = ad.parameter(rng.normal(0.0, 1.0, (3, 4)))
+        b = ad.parameter(rng.normal(0.0, 1.0, (4,)))
         target = Tensor(rnd(rng, *shape[:-1], 4))
         params = [x, w, b]
 
@@ -699,18 +708,18 @@ class TestBackward:
     def test_micro_network_matches_finite_differences(self):
         # two points through widths [3, 4], pooled, densely mapped to 2 classes
         rng = np.random.default_rng(17)
-        pts = rng.normal(size=(2, 3))
-        w1 = ad.parameter(None, rng, (3, 4))
+        pts = rng.normal(size=(1, 2, 3))
+        w1 = ad.parameter(rng.normal(0.0, 0.05, (3, 4)))
         b1 = ad.parameter(np.zeros(4))
-        w2 = ad.parameter(None, rng, (4, 2))
+        w2 = ad.parameter(rng.normal(0.0, 0.05, (4, 2)))
         b2 = ad.parameter(np.zeros(2))
         target = np.array([1.0, 0.0])
         params = [w1, b1, w2, b2]
 
         def build():
-            pooled = ad.max_pool_points(Tensor(pts), [w1], [b1])
-            logits = ad.add(ad.matmul(ad.reshape(pooled, (1, 4)), w2), b2)
-            probs = ad.softmax(logits, axis=-1)
+            pooled = ad.max_pool_points(pts, [w1], [b1])
+            logits = ad.add(ad.matmul(pooled, w2), b2)
+            probs = ad.softmax(logits)
             return ad.sq_l2_diff(probs, Tensor(target.reshape(1, 2)))
 
         analytic = ad.gradients(build(), params)
@@ -722,9 +731,9 @@ class TestBackward:
     @given(st.integers(0, 2 ** 32 - 1))
     def test_special_ops_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        c = ad.parameter(None, rng, (1, 1, 3), std=0.5)
-        d = ad.parameter(None, rng, (3, 2, 4), std=0.5)
-        k = ad.parameter(None, rng, (2, 2, 3, 4), std=0.5)
+        c = ad.parameter(rng.normal(0.0, 0.5, (1, 1, 3)))
+        d = ad.parameter(rng.normal(0.0, 0.5, (3, 2, 4)))
+        k = ad.parameter(rng.normal(0.0, 0.5, (2, 2, 3, 4)))
         params = [c, d, k]
 
         def build():

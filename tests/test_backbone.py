@@ -195,6 +195,18 @@ class TestForward:
         assert ops.count("matmul") == ops.count("add") == 1
         assert max(node.size for node in seen.values()) < b * n * min(widths[1:])
 
+    def test_pool_parents_are_the_layers_alone(self):
+        # The points are data: the pool node's parents are the reshaped
+        # kernels and the biases, nothing else.
+        kernels, biases, head_w, head_b = micro_params(14, (3, 8, 16))
+        params = [[ad.parameter(t.data) for t in group] for group in (kernels, biases, head_w, head_b)]
+        logits = bb.forward(np.random.default_rng(15).normal(size=(2, 5, 3)), *params)
+        pool = logits._parents[0]._parents[0]
+        assert pool._op == "max_pool_points" and len(pool._parents) == 4
+        ws, bs = pool._parents[:2], pool._parents[2:]
+        assert all(w._op == "reshape" and w._parents == (k,) for w, k in zip(ws, params[0]))
+        assert all(b is p for b, p in zip(bs, params[1]))
+
     def test_forward_over_constants_keeps_no_graph(self):
         # Evaluation graphs are all constants: no node holds its operands,
         # so each activation is freed once the next layer is built.
@@ -219,7 +231,7 @@ class TestLogitsAndLoss:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(7)
         logits = Tensor(rng.normal(size=(6, 4)) * 10)
-        probs = ad.softmax(logits, axis=-1).data
+        probs = ad.softmax(logits).data
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
 
     def test_exact_one_hot_probability_gives_zero_loss(self):

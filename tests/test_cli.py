@@ -85,6 +85,10 @@ def refuse_training(*args, **kwargs):
     raise AssertionError("a task was trained")
 
 
+def refuse_loading(*args, **kwargs):
+    raise AssertionError("a dataset was read")
+
+
 class TestRun:
     def test_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "--config", "/nonexistent.json", "--out", "/tmp/x"]) == 2
@@ -612,15 +616,17 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
 
 
 class TestDirectoryDataset:
-    def test_point_dimension_other_than_the_backbone_input_exits_3(self, tmp_path, capsys):
-        # Every OFF cloud is 3-D, so a 4-wide backbone input rejects the
-        # first task, after every task has loaded and before any output.
+    def test_backbone_input_width_other_than_3_exits_2_before_loading(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # Every dataset source gives 3-D clouds, so a 4-wide backbone input
+        # is a config mistake, rejected before any mesh is read.
+        monkeypatch.setattr(cli, "load_task_from_dir", refuse_loading)
         data_dir = write_octahedra(tmp_path / "data", ["sphere", "cube", "cone", "plane"])
         path = write_config(tmp_path, backbone={"widths": [4, 8, 8], "head_widths": [8]},
                             dataset={"type": "directory", "root": str(data_dir), "points": 8,
                                      "tasks": [["cube", "sphere"], ["cone", "plane"]]})
-        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert_one_error_line(capsys, "data", "task 1: point dimension 3 != backbone input 4")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert_one_error_line(capsys, "config", "backbone.widths[0] must be 3", "[4, 8, 8]")
         assert not (tmp_path / "out").exists()
 
     def test_later_task_of_another_point_dimension_exits_3_before_output(self, tmp_path, capsys,

@@ -88,13 +88,13 @@ def near_valid_off(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
-def fps_row_reduction(pts, k, start_index=0):
-    """Farthest-point sampling as one (n, d) reduction per pick: the row-major
-    formulation whose indices the library's kernel must reproduce."""
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = start_index
-    dist = np.sum((pts - pts[start_index]) ** 2, axis=1)
-    dist[start_index] = -1.0
+def fps_row_reduction(pts, k):
+    """Farthest-point sampling from index 0 as one (n, d) reduction per pick:
+    the row-major formulation whose indices the library's kernel must
+    reproduce."""
+    chosen = np.zeros(k, dtype=np.int64)
+    dist = np.sum((pts - pts[0]) ** 2, axis=1)
+    dist[0] = -1.0
     for i in range(1, k):
         nxt = int(np.argmax(dist))
         chosen[i] = nxt
@@ -389,19 +389,18 @@ class TestFarthestPointSampling:
             pts = rng.normal(size=(40, d))
         pts *= 10.0 ** exponent
         k = int(rng.integers(1, 41))
-        start = int(rng.integers(0, 40))
-        got = ds.farthest_point_sampling(pts, k, start_index=start)
-        np.testing.assert_array_equal(got, fps_row_reduction(pts, k, start))
+        got = ds.farthest_point_sampling(pts, k)
+        np.testing.assert_array_equal(got, fps_row_reduction(pts, k))
 
     def test_input_layouts_give_same_indices_and_stay_unmodified(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(60, 3))
         keep = pts.copy()
-        want = ds.farthest_point_sampling(pts, 12, 4)
+        want = ds.farthest_point_sampling(pts, 12)
         np.testing.assert_array_equal(pts, keep)
-        np.testing.assert_array_equal(ds.farthest_point_sampling(np.asfortranarray(pts), 12, 4), want)
-        np.testing.assert_array_equal(ds.farthest_point_sampling(pts[::2], 6, 2),
-                                      ds.farthest_point_sampling(pts[::2].copy(), 6, 2))
+        np.testing.assert_array_equal(ds.farthest_point_sampling(np.asfortranarray(pts), 12), want)
+        np.testing.assert_array_equal(ds.farthest_point_sampling(pts[::2], 6),
+                                      ds.farthest_point_sampling(pts[::2].copy(), 6))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -409,10 +408,10 @@ class TestFarthestPointSampling:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(20, 3))
         k = 6
-        perm = rng.permutation(20)
-        start = int(np.argwhere(perm == 0)[0][0])
+        # Point 0 stays first, so both runs start from the same point.
+        perm = np.r_[0, 1 + rng.permutation(19)]
         base = ds.farthest_point_sampling(pts, k)
-        remapped = ds.farthest_point_sampling(pts[perm], k, start_index=start)
+        remapped = ds.farthest_point_sampling(pts[perm], k)
         got = np.sort(pts[perm][remapped], axis=0)
         want = np.sort(pts[base], axis=0)
         np.testing.assert_allclose(got, want, atol=0)

@@ -50,7 +50,7 @@ class TestAdam:
         p = ad.parameter(np.array([1.0, -2.0]))
         before = p.data.copy()
         state = tr.adam_state([p])
-        tr.adam_step([p], [np.zeros(2)], state)
+        tr.adam_step([p], [np.zeros(2)], state, lr=1e-3)
         np.testing.assert_array_equal(p.data, before)
 
     def test_single_scalar_step_hand_checked(self):
